@@ -1,18 +1,40 @@
 #include "core/stack.h"
 
+#include <thread>
+
 #include "common/logging.h"
 
 namespace ceems::core {
 
+std::vector<tsdb::RuleGroup> stack_rule_groups(const StackConfig& config) {
+  std::vector<tsdb::RuleGroup> groups =
+      jean_zay_rule_groups(config.rate_window, config.emission_provider);
+  auto append = [&](std::vector<tsdb::RuleGroup> more) {
+    for (auto& group : more) groups.push_back(std::move(group));
+  };
+  if (config.include_equal_split_baseline) {
+    append(equal_split_baseline_rules(config.rate_window));
+  }
+  if (config.include_ebpf_network_rules) {
+    append(ebpf_network_rules(config.rate_window));
+  }
+  if (config.include_alert_rules) append(ceems_alert_rules());
+  return groups;
+}
+
 CeemsStack::CeemsStack(slurm::ClusterSim& sim, StackConfig config)
-    : sim_(sim), config_(std::move(config)), clock_(sim.clock()) {
+    : sim_(sim),
+      config_(std::move(config)),
+      clock_(sim.clock()),
+      pool_(std::make_shared<common::ThreadPool>(
+          std::thread::hardware_concurrency(), "generation")) {
   hot_store_ = std::make_shared<tsdb::TimeSeriesStore>();
   if (config_.hot_durable_dir) {
     durable_ = std::make_unique<tsdb::DurableTsdb>(
         hot_store_, config_.hot_durable_dir, config_.hot_wal);
     last_open_ = durable_->open();
   }
-  longterm_ = std::make_shared<tsdb::LongTermStore>(config_.longterm);
+  longterm_ = std::make_shared<tsdb::LongTermStore>(config_.longterm, pool_);
 
   faults::FaultHook fault_hook;
   if (config_.fault_plan) fault_hook = config_.fault_plan->hook();
@@ -95,25 +117,10 @@ CeemsStack::CeemsStack(slurm::ClusterSim& sim, StackConfig config)
   }
 
   // --- recording rules ---
-  rules_ = std::make_unique<tsdb::RuleEngine>(hot_store_);
-  for (auto& group :
-       jean_zay_rule_groups(config_.rate_window, config_.emission_provider)) {
+  rules_ = std::make_unique<tsdb::RuleEngine>(
+      hot_store_, tsdb::promql::EngineOptions{}, pool_);
+  for (auto& group : stack_rule_groups(config_)) {
     rules_->add_group(std::move(group));
-  }
-  if (config_.include_equal_split_baseline) {
-    for (auto& group : equal_split_baseline_rules(config_.rate_window)) {
-      rules_->add_group(std::move(group));
-    }
-  }
-  if (config_.include_ebpf_network_rules) {
-    for (auto& group : ebpf_network_rules(config_.rate_window)) {
-      rules_->add_group(std::move(group));
-    }
-  }
-  if (config_.include_alert_rules) {
-    for (auto& group : ceems_alert_rules()) {
-      rules_->add_group(std::move(group));
-    }
   }
 
   // --- Thanos-style query frontends over the long-term store ---

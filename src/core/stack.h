@@ -76,6 +76,10 @@ struct StackConfig {
   int scrape_retries = 1;
 };
 
+// The recording and alerting rule groups a stack with `config` evaluates,
+// in evaluation order.
+std::vector<tsdb::RuleGroup> stack_rule_groups(const StackConfig& config);
+
 class CeemsStack {
  public:
   CeemsStack(slurm::ClusterSim& sim, StackConfig config);
@@ -122,6 +126,10 @@ class CeemsStack {
   slurm::ClusterSim& sim_;
   StackConfig config_;
   common::ClockPtr clock_;
+  // Runs the generation back half: rule waves and per-shard long-term
+  // sync (DESIGN.md §13). Kept apart from any query engine's pool, whose
+  // tasks must never wait on run_all of the pool they run on.
+  std::shared_ptr<common::ThreadPool> pool_;
 
   std::vector<std::unique_ptr<exporter::Exporter>> exporters_;
   std::unique_ptr<exporter::Exporter> emissions_exporter_;

@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <list>
+#include <locale>
 #include <mutex>
 #include <unordered_map>
 
@@ -35,6 +36,14 @@ struct Stripe {
 };
 
 struct Cache {
+  Cache() {
+    // std::ctype<char>::narrow fills a per-character table lazily, and
+    // std::regex's scanner narrows every pattern character, so threads
+    // compiling patterns at once would write that table concurrently.
+    // Fill it once here, before any compile can run.
+    const auto& ctype = std::use_facet<std::ctype<char>>(std::locale());
+    for (int c = 0; c < 256; ++c) ctype.narrow(static_cast<char>(c), '\0');
+  }
   Stripe stripes[kStripes];
   Stripe& of(const std::string& pattern) {
     return stripes[std::hash<std::string>{}(pattern) % kStripes];

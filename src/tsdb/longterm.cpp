@@ -1,7 +1,9 @@
 #include "tsdb/longterm.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
 
@@ -66,8 +68,9 @@ void fold_sample(AggBucket& bucket, TimestampMs t, double v) {
 
 }  // namespace
 
-LongTermStore::LongTermStore(LongTermConfig config)
-    : config_(std::move(config)) {
+LongTermStore::LongTermStore(LongTermConfig config,
+                             std::shared_ptr<common::ThreadPool> pool)
+    : config_(std::move(config)), pool_(std::move(pool)) {
   std::vector<AggLevelConfig> ladder = config_.levels;
   if (ladder.empty()) {
     ladder.push_back({config_.resolution_ms, config_.retention_ms});
@@ -91,15 +94,65 @@ LongTermStore::LongTermStore(LongTermConfig config)
 }
 
 std::size_t LongTermStore::sync_from(const TimeSeriesStore& hot) {
+  constexpr std::size_t kShards = TimeSeriesStore::kShardCount;
   std::lock_guard lock(mu_);
-  std::size_t copied = 0;
-  for (const auto& series : hot.series_since(sync_cursor_ + 1)) {
-    for (const auto& sample : series.samples) {
-      if (raw_.append(series.labels, sample.t, sample.v)) ++copied;
-    }
+  const TimestampMs since = sync_cursor_ + 1;
+  // Shard s of the hot store only ever feeds shard s of raw_, so the
+  // tasks never contend for a destination lock.
+  std::array<std::size_t, kShards> copied{};
+  std::array<TimestampMs, kShards> newest;
+  newest.fill(sync_cursor_);
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(kShards);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    tasks.push_back([&, s] {
+      hot.visit_shard_since(
+          s, since, [&](const metrics::SampleRef* refs, std::size_t count) {
+            for (std::size_t i = 0; i < count; ++i) {
+              newest[s] = std::max(newest[s], refs[i].timestamp_ms);
+            }
+            copied[s] = raw_.append_refs(refs, count);
+          });
+    });
   }
-  if (auto max_t = raw_.max_time()) sync_cursor_ = *max_t;
-  return copied;
+  if (pool_) {
+    pool_->run_all(std::move(tasks));
+  } else {
+    for (auto& task : tasks) task();
+  }
+  // A pulled sample raw_ rejects is older than its series' newest copy,
+  // so the newest pulled timestamp is also raw_'s newest.
+  sync_cursor_ = *std::max_element(newest.begin(), newest.end());
+  std::size_t total = 0;
+  for (std::size_t n : copied) total += n;
+  return total;
+}
+
+std::vector<LongTermStore::LevelSeries::const_pointer> LongTermStore::matching(
+    const AggLevel& level, const std::vector<LabelMatcher>& matchers) {
+  std::vector<LevelSeries::const_pointer> out;
+  auto collect = [&](const LevelSeries& series) {
+    for (const auto& entry : series) {
+      if (matches_all(matchers, entry.first)) out.push_back(&entry);
+    }
+  };
+  for (const auto& matcher : matchers) {
+    if (matcher.name != metrics::kMetricNameLabel ||
+        matcher.op != LabelMatcher::Op::kEq) {
+      continue;
+    }
+    // A series without a name files under "", which an empty-value
+    // equality matcher selects, as it should.
+    auto it = level.series.find(matcher.value);
+    if (it != level.series.end()) collect(it->second);
+    return out;  // one name's map is already in label order
+  }
+  for (const auto& [name, series] : level.series) collect(series);
+  std::sort(out.begin(), out.end(),
+            [](LevelSeries::const_pointer a, LevelSeries::const_pointer b) {
+              return a->first < b->first;
+            });
+  return out;
 }
 
 TimestampMs LongTermStore::align_down_all_levels(TimestampMs t) const {
@@ -138,7 +191,8 @@ void LongTermStore::compact(common::TimestampMs now) {
       TimestampMs from =
           level.cursor_ms == INT64_MIN ? INT64_MIN : level.cursor_ms + 1;
       for (const auto& view : raw_.select({}, from, target)) {
-        auto& series = level.series[view.labels];
+        auto& series =
+            level.series[std::string(view.labels.name())][view.labels];
         AggBucket bucket;
         bool open = false;
         for (const auto& sample : view.samples()) {
@@ -189,12 +243,21 @@ void LongTermStore::compact(common::TimestampMs now) {
     if (level.config.retention_ms <= 0) continue;
     TimestampMs keep_from = now - level.config.retention_ms;
     std::size_t dropped = 0;
-    for (auto it = level.series.begin(); it != level.series.end();) {
-      dropped += it->second.drop_before(keep_from);
-      if (it->second.empty()) {
-        it = level.series.erase(it);
+    for (auto name_it = level.series.begin();
+         name_it != level.series.end();) {
+      LevelSeries& named = name_it->second;
+      for (auto it = named.begin(); it != named.end();) {
+        dropped += it->second.drop_before(keep_from);
+        if (it->second.empty()) {
+          it = named.erase(it);
+        } else {
+          ++it;
+        }
+      }
+      if (named.empty()) {
+        name_it = level.series.erase(name_it);
       } else {
-        ++it;
+        ++name_it;
       }
     }
     if (dropped > 0) {
@@ -219,9 +282,12 @@ std::vector<SeriesView> LongTermStore::select(
   if (!levels_.empty() && raw_purged_end_ != INT64_MIN && min_t <= max_t) {
     const AggLevel& finest = levels_.front();
     const int64_t res = finest.config.resolution_ms;
-    TimestampMs hi_end = std::min(raw_purged_end_, agg_bucket_end(max_t, res));
-    for (const auto& [labels, series] : finest.series) {
-      if (!matches_all(matchers, labels)) continue;
+    // raw_purged_end_ is a bucket boundary, so clamping first gives the
+    // same end and keeps agg_bucket_end from overflowing on a max_t near
+    // INT64_MAX.
+    TimestampMs hi_end = agg_bucket_end(std::min(max_t, raw_purged_end_), res);
+    for (const auto* entry : matching(finest, matchers)) {
+      const auto& [labels, series] = *entry;
       std::vector<SamplePoint> points;
       for (const auto& bucket : series.buckets_between(min_t, hi_end)) {
         SamplePoint point;
@@ -324,8 +390,8 @@ std::optional<std::vector<AggSeriesView>> LongTermStore::select_agg(
     }
     std::vector<AggSeriesView> out;
     std::size_t rows = 0;
-    for (const auto& [labels, series] : level.series) {
-      if (!matches_all(matchers, labels)) continue;
+    for (const auto* entry : matching(level, matchers)) {
+      const auto& [labels, series] = *entry;
       auto buckets = series.buckets_between(min_end, max_end);
       if (buckets.empty()) continue;
       rows += buckets.size();
@@ -356,11 +422,15 @@ StorageStats LongTermStore::downsampled_stats() const {
   std::lock_guard lock(mu_);
   StorageStats out;
   for (const auto& level : levels_) {
-    out.num_series = std::max(out.num_series, level.series.size());
-    out.num_samples += level.num_buckets;
-    for (const auto& [labels, series] : level.series) {
-      out.approx_bytes += series.approx_bytes();
+    std::size_t num_series = 0;
+    for (const auto& [name, named] : level.series) {
+      num_series += named.size();
+      for (const auto& [labels, series] : named) {
+        out.approx_bytes += series.approx_bytes();
+      }
     }
+    out.num_series = std::max(out.num_series, num_series);
+    out.num_samples += level.num_buckets;
   }
   return out;
 }

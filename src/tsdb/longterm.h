@@ -15,6 +15,7 @@
 #include <memory>
 #include <mutex>
 
+#include "common/threadpool.h"
 #include "tsdb/storage.h"
 
 namespace ceems::tsdb {
@@ -69,13 +70,18 @@ struct LongTermSelectStats {
 
 class LongTermStore final : public Queryable {
  public:
-  explicit LongTermStore(LongTermConfig config = {});
+  // `pool` runs sync_from's per-shard copies concurrently; nullptr runs
+  // them inline on the caller's thread.
+  explicit LongTermStore(LongTermConfig config = {},
+                         std::shared_ptr<common::ThreadPool> pool = nullptr);
 
   // Pulls new samples from the hot store (everything newer than the last
-  // sync cursor). Returns samples copied. Relies on the replication
-  // invariant that pulls observe globally non-decreasing timestamps: a
-  // sample at or before the cursor would already have been skipped by
-  // series_since, so completed aggregate buckets never reopen.
+  // sync cursor), hot shard i into raw shard i, one pool task per shard,
+  // with labels passed as the hot store's interned labels. Returns samples
+  // copied; the cursor becomes the newest timestamp copied. Relies on the
+  // replication invariant that pulls observe globally non-decreasing
+  // timestamps: a sample at or before the cursor is never pulled, so
+  // completed aggregate buckets never reopen.
   std::size_t sync_from(const TimeSeriesStore& hot);
 
   // Advances every level's compaction cursor to the newest bucket
@@ -106,11 +112,13 @@ class LongTermStore final : public Queryable {
   LongTermSelectStats select_stats() const;
 
  private:
+  using LevelSeries = std::map<Labels, AggChunkedSeries>;
   struct AggLevel {
     AggLevelConfig config;
-    // Keyed by the full label set (ordered, so every read is
-    // deterministic), like the merged select() output.
-    std::map<Labels, AggChunkedSeries> series;
+    // Keyed by metric name, then by the full label set (ordered, so every
+    // read is deterministic), so a select with a fixed name tests only
+    // that name's series.
+    std::map<std::string, LevelSeries> series;
     // Buckets with end <= cursor_ms are complete and immutable.
     TimestampMs cursor_ms = INT64_MIN;
     // Buckets with end <= purged_end_ms may have been dropped by
@@ -122,8 +130,12 @@ class LongTermStore final : public Queryable {
 
   // Largest boundary <= t aligned to every level's resolution.
   TimestampMs align_down_all_levels(TimestampMs t) const;
+  // Series of `level` matching every matcher, sorted by labels.
+  static std::vector<LevelSeries::const_pointer> matching(
+      const AggLevel& level, const std::vector<LabelMatcher>& matchers);
 
   LongTermConfig config_;
+  std::shared_ptr<common::ThreadPool> pool_;
   mutable std::mutex mu_;
   TimeSeriesStore raw_;
   std::vector<AggLevel> levels_;  // ascending resolution

@@ -1,5 +1,7 @@
 #include "tsdb/rules.h"
 
+#include <algorithm>
+#include <functional>
 #include <set>
 
 #include "common/logging.h"
@@ -7,8 +9,53 @@
 
 namespace ceems::tsdb {
 
-RuleEngine::RuleEngine(StorePtr store, promql::EngineOptions options)
-    : store_(std::move(store)), engine_(options) {}
+RuleEngine::RuleEngine(StorePtr store, promql::EngineOptions options,
+                       std::shared_ptr<common::ThreadPool> pool)
+    : store_(std::move(store)), engine_(options), pool_(std::move(pool)) {}
+
+RuleEngine::Access RuleEngine::access_of(const promql::Expr& expr,
+                                         std::string writes) {
+  Access access;
+  access.writes = std::move(writes);
+  auto visit = [&](const auto& self, const promql::Expr& node) -> void {
+    using Kind = promql::Expr::Kind;
+    if (node.kind == Kind::kVectorSelector ||
+        node.kind == Kind::kMatrixSelector) {
+      const std::string* name =
+          node.metric_name.empty() ? nullptr : &node.metric_name;
+      for (const auto& matcher : node.matchers) {
+        if (name) break;
+        if (matcher.name == metrics::kMetricNameLabel &&
+            matcher.op == metrics::LabelMatcher::Op::kEq) {
+          name = &matcher.value;
+        }
+      }
+      if (name) {
+        access.reads.push_back(*name);
+      } else {
+        access.reads_all = true;
+      }
+    }
+    for (const auto& arg : node.args) self(self, *arg);
+    for (const auto* child : {&node.lhs, &node.rhs, &node.agg_expr,
+                              &node.agg_param}) {
+      if (*child) self(self, **child);
+    }
+  };
+  visit(visit, expr);
+  std::sort(access.reads.begin(), access.reads.end());
+  access.reads.erase(std::unique(access.reads.begin(), access.reads.end()),
+                     access.reads.end());
+  return access;
+}
+
+bool RuleEngine::conflicts(const Access& a, const Access& b) {
+  auto reads = [](const Access& rule, const std::string& name) {
+    return rule.reads_all ||
+           std::binary_search(rule.reads.begin(), rule.reads.end(), name);
+  };
+  return a.writes == b.writes || reads(a, b.writes) || reads(b, a.writes);
+}
 
 void RuleEngine::add_group(RuleGroup group) {
   for (auto& rule : group.rules) {
@@ -21,13 +68,22 @@ void RuleEngine::add_group(RuleGroup group) {
       throw promql::ParseError("alerting rule without a name");
     rule.parsed = promql::parse(rule.expr);
   }
+  std::vector<Access> access;
+  for (const auto& rule : group.alerts) {
+    access.push_back(access_of(*rule.parsed, "ALERTS"));
+  }
+  for (const auto& rule : group.rules) {
+    access.push_back(access_of(*rule.parsed, rule.record));
+  }
   std::lock_guard lock(eval_mu_);
   groups_.push_back(std::move(group));
+  access_.push_back(std::move(access));
   last_eval_.push_back(-1);
 }
 
 void RuleEngine::evaluate_alert(const AlertingRule& rule,
                                 common::TimestampMs t, RuleEvalStats& stats) {
+  ++stats.rules_evaluated;
   promql::Value value;
   try {
     value = engine_.eval(*store_, rule.parsed, t);
@@ -94,68 +150,123 @@ void RuleEngine::evaluate_alert(const AlertingRule& rule,
   }
 }
 
-RuleEvalStats RuleEngine::evaluate_group(RuleGroup& group,
-                                         common::TimestampMs t) {
-  RuleEvalStats stats;
-  for (const auto& alert_rule : group.alerts) {
-    ++stats.rules_evaluated;
-    evaluate_alert(alert_rule, t, stats);
-  }
-  for (const auto& rule : group.rules) {
-    ++stats.rules_evaluated;
-    try {
-      promql::Value value = engine_.eval(*store_, rule.parsed, t);
-      if (value.kind != promql::Value::Kind::kVector) {
-        CEEMS_LOG_WARN("rules")
-            << "rule " << rule.record << " did not yield a vector";
-        ++stats.rule_failures;
-        continue;
-      }
-      for (const auto& sample : value.vector) {
-        Labels labels = sample.labels.with_name(rule.record);
-        for (const auto& [name, label_value] : rule.static_labels) {
-          labels = labels.with(name, label_value);
-        }
-        if (store_->append(labels, t, sample.value)) ++stats.samples_written;
-      }
-    } catch (const std::exception& e) {
+void RuleEngine::evaluate_record(const RecordingRule& rule,
+                                 common::TimestampMs t, RuleEvalStats& stats) {
+  ++stats.rules_evaluated;
+  try {
+    promql::Value value = engine_.eval(*store_, rule.parsed, t);
+    if (value.kind != promql::Value::Kind::kVector) {
+      CEEMS_LOG_WARN("rules")
+          << "rule " << rule.record << " did not yield a vector";
       ++stats.rule_failures;
-      CEEMS_LOG_WARN("rules") << "rule " << rule.record << ": " << e.what();
+      return;
+    }
+    // Intern each output label set once and write the whole vector as one
+    // batch: one WAL record and one lock per touched shard, not one each
+    // per sample. Per-series order is the vector's order, so duplicate
+    // label sets still resolve last-write-wins.
+    std::vector<InternedLabels> labels;
+    labels.reserve(value.vector.size());
+    for (const auto& sample : value.vector) {
+      Labels out = sample.labels.with_name(rule.record);
+      for (const auto& [name, label_value] : rule.static_labels) {
+        out = out.with(name, label_value);
+      }
+      labels.emplace_back(out);
+    }
+    std::vector<metrics::SampleRef> refs;
+    refs.reserve(labels.size());
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+      refs.push_back({&labels[i], t, value.vector[i].value});
+    }
+    stats.samples_written += store_->append_refs(refs.data(), refs.size());
+  } catch (const std::exception& e) {
+    ++stats.rule_failures;
+    CEEMS_LOG_WARN("rules") << "rule " << rule.record << ": " << e.what();
+  }
+}
+
+RuleEvalStats RuleEngine::evaluate_groups(const std::vector<std::size_t>& due,
+                                          common::TimestampMs t) {
+  // Flatten the due groups into file order: groups in registration order,
+  // each group's alerting rules before its recording rules.
+  struct Slot {
+    const Access* access;
+    std::function<void(RuleEvalStats&)> run;
+  };
+  std::vector<Slot> slots;
+  for (std::size_t g : due) {
+    const RuleGroup& group = groups_[g];
+    const Access* access = access_[g].data();
+    for (const auto& rule : group.alerts) {
+      slots.push_back({access++, [this, &rule, t](RuleEvalStats& stats) {
+                         evaluate_alert(rule, t, stats);
+                       }});
+    }
+    for (const auto& rule : group.rules) {
+      slots.push_back({access++, [this, &rule, t](RuleEvalStats& stats) {
+                         evaluate_record(rule, t, stats);
+                       }});
     }
   }
-  return stats;
+
+  // A rule's wave is one past the latest wave of any earlier rule it
+  // conflicts with, so conflicting rules keep file order and each wave's
+  // rules touch disjoint names.
+  std::vector<std::size_t> wave(slots.size(), 0);
+  std::size_t num_waves = 0;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (wave[j] >= wave[i] && conflicts(*slots[j].access, *slots[i].access))
+        wave[i] = wave[j] + 1;
+    }
+    num_waves = std::max(num_waves, wave[i] + 1);
+  }
+
+  std::vector<RuleEvalStats> stats(slots.size());
+  for (std::size_t w = 0; w < num_waves; ++w) {
+    std::vector<std::function<void()>> tasks;
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      if (wave[i] == w) tasks.push_back([&, i] { slots[i].run(stats[i]); });
+    }
+    if (pool_ && tasks.size() > 1) {
+      pool_->run_all(std::move(tasks));
+    } else {
+      for (auto& task : tasks) task();
+    }
+  }
+
+  RuleEvalStats total;
+  for (const RuleEvalStats& rule : stats) {
+    total.rules_evaluated += rule.rules_evaluated;
+    total.samples_written += rule.samples_written;
+    total.rule_failures += rule.rule_failures;
+    total.alerts_firing += rule.alerts_firing;
+    total.alerts_pending += rule.alerts_pending;
+  }
+  return total;
 }
 
 RuleEvalStats RuleEngine::evaluate_due(common::TimestampMs t) {
-  RuleEvalStats total;
   std::lock_guard lock(eval_mu_);
+  std::vector<std::size_t> due;
   for (std::size_t i = 0; i < groups_.size(); ++i) {
     if (last_eval_[i] >= 0 && t - last_eval_[i] < groups_[i].interval_ms)
       continue;
     last_eval_[i] = t;
-    RuleEvalStats stats = evaluate_group(groups_[i], t);
-    total.rules_evaluated += stats.rules_evaluated;
-    total.samples_written += stats.samples_written;
-    total.rule_failures += stats.rule_failures;
-    total.alerts_firing += stats.alerts_firing;
-    total.alerts_pending += stats.alerts_pending;
+    due.push_back(i);
   }
-  return total;
+  return evaluate_groups(due, t);
 }
 
 RuleEvalStats RuleEngine::evaluate_all(common::TimestampMs t) {
-  RuleEvalStats total;
   std::lock_guard lock(eval_mu_);
+  std::vector<std::size_t> due(groups_.size());
   for (std::size_t i = 0; i < groups_.size(); ++i) {
     last_eval_[i] = t;
-    RuleEvalStats stats = evaluate_group(groups_[i], t);
-    total.rules_evaluated += stats.rules_evaluated;
-    total.samples_written += stats.samples_written;
-    total.rule_failures += stats.rule_failures;
-    total.alerts_firing += stats.alerts_firing;
-    total.alerts_pending += stats.alerts_pending;
+    due[i] = i;
   }
-  return total;
+  return evaluate_groups(due, t);
 }
 
 std::vector<ActiveAlert> RuleEngine::active_alerts() const {

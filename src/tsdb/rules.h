@@ -7,13 +7,22 @@
 // Rules within a group are evaluated in order and see the results of
 // earlier rules in the same evaluation (Prometheus semantics), which lets
 // Eq. 1 be decomposed into named sub-expressions.
+//
+// Order is kept only where it is observable: each rule reads the metric
+// names of its selectors and writes its `record` name (ALERTS for alerting
+// rules), and two rules conflict when one writes a name the other reads or
+// writes. Conflicting rules run in file order; the rest run concurrently
+// on the engine's pool, in waves (DESIGN.md §13). Results are
+// bit-identical to serial evaluation.
 #pragma once
 
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/json.h"
+#include "common/threadpool.h"
 #include "tsdb/promql_eval.h"
 #include "tsdb/storage.h"
 
@@ -64,7 +73,11 @@ struct RuleEvalStats {
 
 class RuleEngine {
  public:
-  explicit RuleEngine(StorePtr store, promql::EngineOptions options = {});
+  // `pool` runs the rules of one wave concurrently; nullptr runs every
+  // wave inline on the caller's thread. It must not be options.pool: a
+  // rule task calling run_all on its own pool could wait on itself.
+  explicit RuleEngine(StorePtr store, promql::EngineOptions options = {},
+                      std::shared_ptr<common::ThreadPool> pool = nullptr);
 
   // Parses every rule expression up front; throws promql::ParseError on
   // invalid rules (fail fast at config load, like promtool check rules).
@@ -84,17 +97,36 @@ class RuleEngine {
   std::vector<ActiveAlert> active_alerts() const;
 
  private:
-  RuleEvalStats evaluate_group(RuleGroup& group, common::TimestampMs t);
+  // Metric names one rule touches: what its selectors read (`reads_all`
+  // when a selector has no fixed name) and what it writes.
+  struct Access {
+    std::vector<std::string> reads;  // sorted, unique
+    bool reads_all = false;
+    std::string writes;
+  };
+  static Access access_of(const promql::Expr& expr, std::string writes);
+  // True when the two rules must keep their relative order.
+  static bool conflicts(const Access& a, const Access& b);
+
+  // Evaluates the groups whose indices are listed (ascending) at `t`.
+  RuleEvalStats evaluate_groups(const std::vector<std::size_t>& due,
+                                common::TimestampMs t);
+  void evaluate_record(const RecordingRule& rule, common::TimestampMs t,
+                       RuleEvalStats& stats);
   void evaluate_alert(const AlertingRule& rule, common::TimestampMs t,
                       RuleEvalStats& stats);
 
   StorePtr store_;
   promql::Engine engine_;
+  std::shared_ptr<common::ThreadPool> pool_;
   // Serialises rule evaluation against group registration and alert
   // snapshots: the evaluation loop runs on a timer thread while
   // active_alerts() is read from HTTP handlers.
   mutable std::mutex eval_mu_;
   std::vector<RuleGroup> groups_;
+  // Per group: Access of each alerting rule, then of each recording rule
+  // (the order evaluate_groups() flattens a group into).
+  std::vector<std::vector<Access>> access_;
   std::vector<common::TimestampMs> last_eval_;
   // Key: alertname fingerprint ^ labels fingerprint.
   std::map<uint64_t, ActiveAlert> active_;

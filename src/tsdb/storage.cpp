@@ -162,11 +162,12 @@ std::size_t TimeSeriesStore::apply_refs(const metrics::SampleRef* samples,
 
 std::vector<uint64_t> TimeSeriesStore::match_ids(
     const Shard& shard, const std::vector<LabelMatcher>& matchers) {
-  // Start from the most selective equality matcher via the inverted index,
-  // then filter. Index keys are symbol ids: a matcher whose name or value
-  // was never interned cannot match any stored series.
+  // Walk the smallest equality matcher's posting set in place and filter
+  // by every matcher, so a select copies no index set. Index keys are
+  // symbol ids: a matcher whose name or value was never interned cannot
+  // match any stored series.
   SymbolTable& table = SymbolTable::global();
-  std::optional<std::set<uint64_t>> candidates;
+  const std::set<uint64_t>* candidates = nullptr;
   for (const auto& matcher : matchers) {
     if (matcher.op != LabelMatcher::Op::kEq || matcher.value.empty()) continue;
     auto name_sym = table.find(matcher.name);
@@ -175,18 +176,10 @@ std::vector<uint64_t> TimeSeriesStore::match_ids(
     auto name_it = shard.index.find(*name_sym);
     if (name_it == shard.index.end()) return {};
     auto value_it = name_it->second.find(*value_sym);
-    if (value_it == name_it->second.end()) return {};
-    if (!candidates) {
-      candidates = value_it->second;
-    } else {
-      std::set<uint64_t> intersection;
-      std::set_intersection(
-          candidates->begin(), candidates->end(), value_it->second.begin(),
-          value_it->second.end(),
-          std::inserter(intersection, intersection.begin()));
-      candidates = std::move(intersection);
-    }
-    if (candidates->empty()) return {};
+    if (value_it == name_it->second.end() || value_it->second.empty())
+      return {};
+    if (!candidates || value_it->second.size() < candidates->size())
+      candidates = &value_it->second;
   }
 
   std::vector<uint64_t> out;
@@ -363,6 +356,34 @@ std::vector<Series> TimeSeriesStore::series_since(TimestampMs since) const {
     }
   }
   return out;
+}
+
+void TimeSeriesStore::visit_shard_since(
+    std::size_t shard_index, TimestampMs since,
+    const std::function<void(const metrics::SampleRef*, std::size_t)>& fn)
+    const {
+  constexpr TimestampMs kMax = std::numeric_limits<TimestampMs>::max();
+  // Thread-local so its capacity persists across pulls.
+  thread_local std::vector<metrics::SampleRef> refs;
+  refs.clear();
+  const Shard& shard = shards_[shard_index];
+  std::shared_lock lock(shard.mu);
+  for (const auto& [id, stored] : shard.series) {
+    const ChunkedSeries& data = stored.data;
+    if (data.empty() || data.max_time() < since) continue;
+    if (data.sealed().empty() || data.sealed().back()->max_time() < since) {
+      // Steady state: everything new is still in the mutable head.
+      for (const auto& sample : data.head()) {
+        if (sample.t >= since)
+          refs.push_back({&stored.ilabels, sample.t, sample.v});
+      }
+      continue;
+    }
+    for (const auto& sample : data.samples_between(since, kMax)) {
+      refs.push_back({&stored.ilabels, sample.t, sample.v});
+    }
+  }
+  fn(refs.data(), refs.size());
 }
 
 namespace {

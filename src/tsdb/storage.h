@@ -35,6 +35,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -171,8 +172,17 @@ class TimeSeriesStore final : public Queryable {
   // replication), or nullopt when empty.
   std::optional<TimestampMs> max_time() const;
 
-  // Series with samples at/after `since`, materialised (replication pull).
+  // Series with samples at/after `since`, materialised.
   std::vector<Series> series_since(TimestampMs since) const;
+  // Replication pull of one shard: under shard `shard`'s shared lock,
+  // hands `fn` every sample at/after `since` as refs whose labels point
+  // at the stored series' interned labels, valid only during the call.
+  // Equal fingerprints map to equal shard indices in every store, so
+  // copying shard i into another store touches only that store's shard i.
+  void visit_shard_since(
+      std::size_t shard, TimestampMs since,
+      const std::function<void(const metrics::SampleRef*, std::size_t)>& fn)
+      const;
 
   // Durability: writes a compact binary snapshot of every series (the
   // Prometheus block-on-local-disk analogue of Fig. 1). Sealed chunks are

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
+#include "common/rng.h"
 #include "tsdb/longterm.h"
 #include "tsdb/promql_eval.h"
 
@@ -231,6 +235,179 @@ TEST(LongTerm, StatsReflectBothTiers) {
   EXPECT_EQ(before.num_samples, 240u);
   EXPECT_LT(after.num_samples, before.num_samples);  // downsampling shrank it
   EXPECT_GT(lt.downsampled_stats().num_samples, 0u);
+}
+
+// The replication copy sync_from used to make, kept as the oracle: pull
+// materialised series_since(cursor + 1), append each sample by its label
+// strings, and take the cursor from the copy's newest sample.
+struct SeriesSinceOracle {
+  TimeSeriesStore raw;
+  TimestampMs cursor = -1;
+
+  std::size_t sync_from(const TimeSeriesStore& hot) {
+    std::size_t copied = 0;
+    for (const auto& series : hot.series_since(cursor + 1)) {
+      for (const auto& sample : series.samples) {
+        if (raw.append(series.labels, sample.t, sample.v)) ++copied;
+      }
+    }
+    if (auto max_t = raw.max_time()) cursor = *max_t;
+    return copied;
+  }
+};
+
+using BitSamples = std::vector<std::pair<TimestampMs, uint64_t>>;
+
+// Views flattened to (labels, samples as bit patterns), in select order.
+std::vector<std::pair<Labels, BitSamples>> bits_of(
+    const std::vector<SeriesView>& views) {
+  std::vector<std::pair<Labels, BitSamples>> out;
+  for (const auto& view : views) {
+    BitSamples samples;
+    for (const auto& sample : view.samples()) {
+      uint64_t bits = 0;
+      std::memcpy(&bits, &sample.v, sizeof(bits));
+      samples.emplace_back(sample.t, bits);
+    }
+    out.emplace_back(view.labels, std::move(samples));
+  }
+  return out;
+}
+
+std::vector<std::pair<Labels, std::vector<TimestampMs>>> buckets_of(
+    const std::optional<std::vector<AggSeriesView>>& views) {
+  std::vector<std::pair<Labels, std::vector<TimestampMs>>> out;
+  if (!views) return out;
+  for (const auto& view : *views) {
+    std::vector<TimestampMs> ends;
+    for (const auto& bucket : view.buckets) ends.push_back(bucket.t);
+    out.emplace_back(view.labels, std::move(ends));
+  }
+  return out;
+}
+
+// Repeated syncs and compactions over a churning hot store: out-of-order
+// appends the hot store rejects, late series older than the cursor,
+// duplicate-timestamp overwrites, staleness markers, hot retention and
+// series deletion. The shard-parallel sync (pooled and inline) must return
+// the oracle's counts, and hold exactly the oracle's raw samples above the
+// downsample horizon; the pooled and inline stores must match entirely,
+// ladder included.
+TEST(LongTerm, ShardParallelSyncMatchesSeriesSinceOracle) {
+  LongTermConfig config;
+  config.downsample_after_ms = kMillisPerHour;
+  config.levels = {{5 * kMillisPerMinute, 0}, {kMillisPerHour, 0}};
+  LongTermStore pooled(config,
+                       std::make_shared<common::ThreadPool>(4, "lt-test"));
+  LongTermStore inline_store(config);
+  SeriesSinceOracle oracle;
+  TimeSeriesStore hot;
+  common::Rng rng(7);
+
+  const TimestampMs step = 30000;
+  for (int cycle = 1; cycle <= 300; ++cycle) {
+    SCOPED_TRACE("cycle " + std::to_string(cycle));
+    const TimestampMs now = cycle * step;
+    for (int host = 0; host < 40; ++host) {
+      std::string name = host % 3 == 0 ? "power" : "joules_total";
+      Labels labels = named(name, "n" + std::to_string(host));
+      if ((cycle + host) % 17 == 0) {
+        hot.append(labels, now, metrics::stale_marker());
+        continue;
+      }
+      double v = static_cast<double>(rng.uniform_int(0, 1000));
+      hot.append(labels, now, v);
+      if (host % 5 == 0) hot.append(labels, now, v + 0.5);  // overwrite
+      if (host % 7 == 0) hot.append(labels, now - step, v);  // rejected
+    }
+    if (cycle % 11 == 0) {
+      // A series first seen with a sample the cursor already passed: the
+      // hot store takes it, replication never pulls it.
+      hot.append(named("late", "n" + std::to_string(cycle)), now - 2 * step,
+                 1);
+    }
+    if (cycle % 13 == 0) {
+      hot.delete_series({{"hostname", metrics::LabelMatcher::Op::kEq,
+                          "n" + std::to_string(cycle % 40)}});
+    }
+    if (cycle % 4 == 0) hot.purge_before(now - 20 * kMillisPerMinute);
+
+    std::size_t expected = oracle.sync_from(hot);
+    EXPECT_EQ(pooled.sync_from(hot), expected);
+    EXPECT_EQ(inline_store.sync_from(hot), expected);
+    pooled.compact(now);
+    inline_store.compact(now);
+
+    // Raw samples newer than any purge boundary are untouched by
+    // compaction, so they must be exactly the oracle's.
+    const TimestampMs horizon = now - config.downsample_after_ms + 1;
+    const TimestampMs end = std::numeric_limits<TimestampMs>::max();
+    ASSERT_EQ(bits_of(pooled.select({}, horizon, end)),
+              bits_of(oracle.raw.select({}, horizon, end)));
+    ASSERT_EQ(bits_of(pooled.select({}, 0, end)),
+              bits_of(inline_store.select({}, 0, end)));
+    EXPECT_EQ(pooled.raw_stats().num_samples,
+              inline_store.raw_stats().num_samples);
+  }
+  for (int64_t res : pooled.agg_resolutions()) {
+    const TimestampMs lo = kMillisPerHour;
+    const TimestampMs hi = 2 * kMillisPerHour;
+    auto a = pooled.select_agg(res, {}, lo, hi);
+    ASSERT_TRUE(a.has_value());
+    EXPECT_EQ(buckets_of(a), buckets_of(inline_store.select_agg(res, {}, lo, hi)));
+    EXPECT_FALSE(a->empty());
+  }
+  EXPECT_EQ(pooled.downsampled_stats().num_samples,
+            inline_store.downsampled_stats().num_samples);
+}
+
+// select() and select_agg() answer a fixed metric name from that name's
+// series alone, with the same output as a nameless selector filtered down.
+TEST(LongTerm, NamedSelectMatchesFilteredScan) {
+  LongTermConfig config;
+  config.downsample_after_ms = kMillisPerHour;
+  LongTermStore lt(config);
+  TimeSeriesStore hot;
+  for (int i = 0; i < 240; ++i) {
+    for (const char* name : {"a", "b", "c"}) {
+      hot.append(Labels{{"hostname", "n1"}, {"UUID", "u" + std::to_string(i % 3)}}
+                     .with_name(name),
+                 i * 30000, i);
+      hot.append(named(name, "n2"), i * 30000, -i);
+    }
+  }
+  lt.sync_from(hot);
+  lt.compact(2 * kMillisPerHour);
+
+  using Op = metrics::LabelMatcher::Op;
+  std::vector<metrics::LabelMatcher> by_name = {{"__name__", Op::kEq, "b"}};
+  std::vector<metrics::LabelMatcher> by_regex = {{"__name__", Op::kRegexMatch, "b"}};
+  auto named_views = lt.select(by_name, 0, 2 * kMillisPerHour);
+  ASSERT_EQ(named_views.size(), 4u);
+  EXPECT_EQ(bits_of(named_views),
+            bits_of(lt.select(by_regex, 0, 2 * kMillisPerHour)));
+  auto one_host = lt.select({{"__name__", Op::kEq, "b"}, {"hostname", Op::kEq, "n2"}},
+                            0, 2 * kMillisPerHour);
+  ASSERT_EQ(one_host.size(), 1u);
+  EXPECT_EQ(one_host[0].labels, named("b", "n2"));
+  EXPECT_TRUE(lt.select({{"__name__", Op::kEq, "zzz"}}, 0,
+                        2 * kMillisPerHour)
+                  .empty());
+
+  auto agg_named = lt.select_agg(5 * kMillisPerMinute, by_name, 0,
+                                 kMillisPerHour);
+  auto agg_regex = lt.select_agg(5 * kMillisPerMinute, by_regex, 0,
+                                 kMillisPerHour);
+  ASSERT_TRUE(agg_named.has_value());
+  EXPECT_EQ(agg_named->size(), 4u);
+  EXPECT_EQ(buckets_of(agg_named), buckets_of(agg_regex));
+  // Across names, output stays in label order.
+  auto all = lt.select_agg(5 * kMillisPerMinute, {}, 0, kMillisPerHour);
+  ASSERT_TRUE(all.has_value());
+  ASSERT_EQ(all->size(), 12u);
+  for (std::size_t i = 1; i < all->size(); ++i) {
+    EXPECT_LT((*all)[i - 1].labels, (*all)[i].labels);
+  }
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/yamlconf.h"
 #include "core/rules_library.h"
+#include "stack_fixture.h"
 #include "tsdb/rules.h"
 
 namespace ceems::tsdb {
@@ -316,6 +319,191 @@ TEST(RulesLibrary, YamlRuleFileMatchesLibrary) {
 
   EXPECT_GT(yaml_watts, 100.0);
   EXPECT_NEAR(yaml_watts, lib_watts, 1e-6);
+}
+
+// ---- dependency-scheduled evaluation ----
+//
+// Rules that conflict (one writes a name the other reads or writes) must
+// keep file order; everything else may run concurrently. Each crafted
+// case below puts the later rule of a conflicting pair where a scheduler
+// ignoring the conflict would run it first, so the result changes if the
+// order ever breaks — with or without a pool.
+
+std::vector<std::shared_ptr<common::ThreadPool>> scheduling_pools() {
+  return {nullptr, std::make_shared<common::ThreadPool>(4, "rules-test")};
+}
+
+// Value of the single series named `name` at exactly `t`.
+std::optional<double> value_at(const TimeSeriesStore& store,
+                               const std::string& name, TimestampMs t) {
+  auto series = store.select(
+      {{"__name__", metrics::LabelMatcher::Op::kEq, name}}, t, t);
+  if (series.size() != 1 || series[0].samples().size() != 1)
+    return std::nullopt;
+  return series[0].samples()[0].v;
+}
+
+TEST(RuleScheduling, ReadAfterWriteSeesThisGeneration) {
+  for (const auto& pool : scheduling_pools()) {
+    SCOPED_TRACE(pool ? "pool" : "inline");
+    auto store = std::make_shared<TimeSeriesStore>();
+    RuleEngine engine(store, {}, pool);
+    RuleGroup group;
+    group.rules = {{"a2", "a * 1", {}, nullptr},
+                   {"b", "a2 * 2", {}, nullptr},
+                   {"c", "b + 1", {}, nullptr}};
+    engine.add_group(std::move(group));
+    for (TimestampMs t : {30000, 60000}) {
+      store->append(named("a", {{"h", "n1"}}), t, static_cast<double>(t));
+      engine.evaluate_all(t);
+      EXPECT_EQ(value_at(*store, "c", t), 2.0 * static_cast<double>(t) + 1);
+    }
+  }
+}
+
+TEST(RuleScheduling, WriteAfterReadSeesPreviousGeneration) {
+  for (const auto& pool : scheduling_pools()) {
+    SCOPED_TRACE(pool ? "pool" : "inline");
+    auto store = std::make_shared<TimeSeriesStore>();
+    RuleEngine engine(store, {}, pool);
+    RuleGroup group;
+    group.rules = {{"a2", "a * 1", {}, nullptr},
+                   {"prev", "b + a2 * 0", {}, nullptr},
+                   {"b", "a * 10", {}, nullptr}};
+    engine.add_group(std::move(group));
+    store->append(named("a", {{"h", "n1"}}), 30000, 1);
+    engine.evaluate_all(30000);
+    EXPECT_FALSE(value_at(*store, "prev", 30000).has_value());
+    store->append(named("a", {{"h", "n1"}}), 60000, 2);
+    engine.evaluate_all(60000);
+    // `prev` runs before `b` rewrites it: it sees the 30 s value, 10.
+    EXPECT_EQ(value_at(*store, "prev", 60000), 10.0);
+    EXPECT_EQ(value_at(*store, "b", 60000), 20.0);
+  }
+}
+
+TEST(RuleScheduling, WriteAfterWriteLastRuleWins) {
+  for (const auto& pool : scheduling_pools()) {
+    SCOPED_TRACE(pool ? "pool" : "inline");
+    auto store = std::make_shared<TimeSeriesStore>();
+    RuleEngine engine(store, {}, pool);
+    RuleGroup first;
+    first.rules = {{"a2", "a * 1", {}, nullptr},
+                   {"w", "a2 * 1", {}, nullptr}};
+    RuleGroup second;
+    second.rules = {{"w", "a * 3", {}, nullptr}};
+    engine.add_group(std::move(first));
+    engine.add_group(std::move(second));
+    for (TimestampMs t : {30000, 60000}) {
+      store->append(named("a", {{"h", "n1"}}), t, 7);
+      RuleEvalStats stats = engine.evaluate_all(t);
+      // Both writes land on the same series; the overwrite still counts.
+      EXPECT_EQ(stats.samples_written, 3u);
+      EXPECT_EQ(value_at(*store, "w", t), 21.0);
+    }
+  }
+}
+
+TEST(RuleScheduling, NamelessSelectorIsABarrier) {
+  for (const auto& pool : scheduling_pools()) {
+    SCOPED_TRACE(pool ? "pool" : "inline");
+    auto store = std::make_shared<TimeSeriesStore>();
+    RuleEngine engine(store, {}, pool);
+    RuleGroup group;
+    group.rules = {{"a2", "a * 1", {}, nullptr},
+                   {"x", "a2 + 1", {}, nullptr},
+                   {"n", "count({h=\"n1\"})", {}, nullptr},
+                   {"y", "a * 5", {}, nullptr}};
+    engine.add_group(std::move(group));
+    store->append(named("a", {{"h", "n1"}}), 30000, 1);
+    engine.evaluate_all(30000);
+    // Sees a, a2 and x (written before it), not y (written after it).
+    EXPECT_EQ(value_at(*store, "n", 30000), 3.0);
+    EXPECT_EQ(value_at(*store, "y", 30000), 5.0);
+  }
+}
+
+// Every sample of every series, ordered by labels, values as bit patterns
+// (staleness markers are NaNs that compare unequal as doubles).
+std::vector<std::pair<Labels, std::vector<std::pair<TimestampMs, uint64_t>>>>
+dump(const TimeSeriesStore& store) {
+  std::vector<std::pair<Labels, std::vector<std::pair<TimestampMs, uint64_t>>>>
+      out;
+  for (const auto& series :
+       store.series_since(std::numeric_limits<TimestampMs>::min())) {
+    std::vector<std::pair<TimestampMs, uint64_t>> samples;
+    for (const auto& sample : series.samples) {
+      uint64_t bits = 0;
+      std::memcpy(&bits, &sample.v, sizeof(bits));
+      samples.emplace_back(sample.t, bits);
+    }
+    out.emplace_back(series.labels, std::move(samples));
+  }
+  std::sort(out.begin(), out.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return out;
+}
+
+bool same_alerts(const std::vector<ActiveAlert>& a,
+                 const std::vector<ActiveAlert>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].name != b[i].name || a[i].labels != b[i].labels ||
+        a[i].state != b[i].state ||
+        a[i].active_since_ms != b[i].active_since_ms ||
+        std::memcmp(&a[i].value, &b[i].value, sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The stack's rule set over a small simulated cluster: a pooled engine on
+// the stack's hot store and an inline engine on a mirror fed the same
+// scrapes must produce bit-identical stores, stats and alerts.
+TEST(RuleScheduling, PooledMatchesInlineOnStackRules) {
+  ceems::testing::MiniStackOptions options;
+  options.stack.include_equal_split_baseline = true;
+  ceems::testing::MiniStack mini(options);
+  core::CeemsStack& stack = mini.stack();
+  StorePtr hot = stack.hot_store();
+  auto mirror = std::make_shared<TimeSeriesStore>();
+
+  RuleEngine pooled(hot, {},
+                    std::make_shared<common::ThreadPool>(4, "rules-test"));
+  RuleEngine serial(mirror);
+  for (auto& group : core::stack_rule_groups(stack.config())) {
+    pooled.add_group(group);
+    serial.add_group(std::move(group));
+  }
+
+  TimestampMs copied_to = std::numeric_limits<TimestampMs>::min();
+  uint64_t written = 0;
+  for (int generation = 0; generation < 12; ++generation) {
+    SCOPED_TRACE("generation " + std::to_string(generation));
+    mini.sim().run_for(30000, 10000, [](common::TimestampMs) {});
+    TimestampMs now = mini.clock()->now_ms();
+    stack.scraper().scrape_all_once();
+    for (const auto& series : hot->series_since(copied_to)) {
+      for (const auto& sample : series.samples) {
+        mirror->append(series.labels, sample.t, sample.v);
+      }
+    }
+    copied_to = now + 1;
+    ASSERT_EQ(dump(*hot), dump(*mirror));
+
+    RuleEvalStats a = pooled.evaluate_all(now);
+    RuleEvalStats b = serial.evaluate_all(now);
+    EXPECT_EQ(a.rules_evaluated, b.rules_evaluated);
+    EXPECT_EQ(a.samples_written, b.samples_written);
+    EXPECT_EQ(a.rule_failures, b.rule_failures);
+    EXPECT_EQ(a.alerts_firing, b.alerts_firing);
+    EXPECT_EQ(a.alerts_pending, b.alerts_pending);
+    EXPECT_TRUE(same_alerts(pooled.active_alerts(), serial.active_alerts()));
+    ASSERT_EQ(dump(*hot), dump(*mirror));
+    written += a.samples_written;
+  }
+  EXPECT_GT(written, 1000u);
 }
 
 }  // namespace
