@@ -4,7 +4,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 
 namespace ceems::common {
 
@@ -90,15 +89,27 @@ std::optional<double> parse_double(std::string_view text) {
 std::string format_double(double value) {
   if (std::isnan(value)) return "NaN";
   if (std::isinf(value)) return value > 0 ? "+Inf" : "-Inf";
-  // %.17g round-trips but is ugly; try shorter precision first.
+  // The text of "%.*g" at the smallest precision >= 6 that round-trips.
+  // No precision below the shortest round-trip digit count can
+  // round-trip, so the search starts there; it still checks, because
+  // "%.*g" at that precision rounds correctly while the shortest form may
+  // pick a different neighbour (2^-24 needs 17 digits under "%.16g").
   char buf[64];
-  for (int precision = 6; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-    double parsed = 0;
-    std::sscanf(buf, "%lf", &parsed);
-    if (parsed == value) break;
+  char* const end = buf + sizeof(buf);
+  auto shortest = std::to_chars(buf, end, value, std::chars_format::scientific);
+  int digits = 0;
+  for (const char* p = buf; p != shortest.ptr && *p != 'e'; ++p) {
+    if (*p >= '0' && *p <= '9') ++digits;
   }
-  return buf;
+  for (int precision = std::max(6, digits); precision < 17; ++precision) {
+    auto out = std::to_chars(buf, end, value, std::chars_format::general,
+                             precision);
+    double parsed = 0;
+    auto back = std::from_chars(buf, out.ptr, parsed);
+    if (back.ec == std::errc() && parsed == value) return {buf, out.ptr};
+  }
+  auto out = std::to_chars(buf, end, value, std::chars_format::general, 17);
+  return {buf, out.ptr};
 }
 
 std::string join(const std::vector<std::string>& parts, std::string_view sep) {

@@ -53,24 +53,6 @@ Labels Labels::without(std::string_view name) const {
   return Labels(std::move(pairs));
 }
 
-Labels Labels::keep_only(const std::vector<std::string>& names) const {
-  std::vector<Pair> pairs;
-  for (const auto& pair : pairs_) {
-    if (std::find(names.begin(), names.end(), pair.first) != names.end())
-      pairs.push_back(pair);
-  }
-  return Labels(std::move(pairs));
-}
-
-Labels Labels::drop(const std::vector<std::string>& names) const {
-  std::vector<Pair> pairs;
-  for (const auto& pair : pairs_) {
-    if (std::find(names.begin(), names.end(), pair.first) == names.end())
-      pairs.push_back(pair);
-  }
-  return Labels(std::move(pairs));
-}
-
 std::string_view Labels::name() const {
   auto value = get(kMetricNameLabel);
   return value ? *value : std::string_view{};

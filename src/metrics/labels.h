@@ -32,10 +32,6 @@ class Labels {
   Labels with(std::string_view name, std::string_view value) const;
   // Returns a copy without `name`.
   Labels without(std::string_view name) const;
-  // Returns a copy keeping only the given names (PromQL `by` semantics).
-  Labels keep_only(const std::vector<std::string>& names) const;
-  // Returns a copy dropping the given names (PromQL `without` semantics).
-  Labels drop(const std::vector<std::string>& names) const;
 
   // Convenience for the metric name label.
   std::string_view name() const;

@@ -2,11 +2,20 @@
 
 #include <algorithm>
 #include <mutex>
-#include <regex>
+#include <stdexcept>
 
 #include "metrics/regex_cache.h"
 
 namespace ceems::metrics {
+
+SymbolTable::SymbolTable()
+    : chunks_(std::make_unique<std::atomic<std::string*>[]>(kMaxChunks)) {}
+
+SymbolTable::~SymbolTable() {
+  for (uint32_t i = 0; i < kMaxChunks; ++i) {
+    delete[] chunks_[i].load(std::memory_order_relaxed);
+  }
+}
 
 SymbolTable& SymbolTable::global() {
   static SymbolTable* table = new SymbolTable();  // immortal, like the ids
@@ -22,10 +31,20 @@ uint32_t SymbolTable::intern(std::string_view text) {
   std::unique_lock lock(mu_);
   auto it = ids_.find(text);  // raced insert between the two locks
   if (it != ids_.end()) return it->second;
-  uint32_t id = static_cast<uint32_t>(strings_.size());
-  strings_.emplace_back(text);
-  ids_.emplace(std::string_view(strings_.back()), id);
+  const uint32_t id = size_.load(std::memory_order_relaxed);
+  const uint32_t chunk = id >> kChunkBits;
+  if (chunk >= kMaxChunks) throw std::length_error("symbol table full");
+  std::string* strings = chunks_[chunk].load(std::memory_order_relaxed);
+  if (!strings) {
+    strings = new std::string[kChunkSize];
+    chunks_[chunk].store(strings, std::memory_order_relaxed);
+  }
+  std::string& slot = strings[id & (kChunkSize - 1)];
+  slot.assign(text);
+  ids_.emplace(std::string_view(slot), id);
   string_bytes_ += text.size();
+  // Publishes the string (and its chunk) to lock-free text() readers.
+  size_.store(id + 1, std::memory_order_release);
   return id;
 }
 
@@ -36,24 +55,11 @@ std::optional<uint32_t> SymbolTable::find(std::string_view text) const {
   return it->second;
 }
 
-std::string_view SymbolTable::text(uint32_t id) const {
-  std::shared_lock lock(mu_);
-  if (id >= strings_.size()) return {};
-  // The string's storage is stable for the process lifetime; only the
-  // deque's internal bookkeeping needs the lock.
-  return strings_[id];
-}
-
-std::size_t SymbolTable::size() const {
-  std::shared_lock lock(mu_);
-  return strings_.size();
-}
-
 std::size_t SymbolTable::approx_bytes() const {
   std::shared_lock lock(mu_);
   return string_bytes_ +
-         strings_.size() * (sizeof(std::string) + sizeof(std::string_view) +
-                            sizeof(uint32_t) + 2 * sizeof(void*));
+         size() * (sizeof(std::string) + sizeof(std::string_view) +
+                   sizeof(uint32_t) + 2 * sizeof(void*));
 }
 
 InternedLabels::InternedLabels(const Labels& labels) {
@@ -71,13 +77,8 @@ InternedLabels::InternedLabels(const Labels& labels,
   fingerprint_ = fingerprint_override;
 }
 
-void InternedLabels::rebuild(const std::vector<SymbolPair>& syms) {
-  SymbolTable& table = SymbolTable::global();
-  syms_ = syms;
-  std::sort(syms_.begin(), syms_.end(),
-            [&table](const SymbolPair& a, const SymbolPair& b) {
-              return table.text(a.first) < table.text(b.first);
-            });
+uint64_t InternedLabels::fingerprint_of(const std::vector<SymbolPair>& syms) {
+  const SymbolTable& table = SymbolTable::global();
   // Same FNV-1a-with-separators scheme as Labels::fingerprint().
   uint64_t hash = kEmptyFingerprint;
   auto mix = [&hash](std::string_view text) {
@@ -88,11 +89,23 @@ void InternedLabels::rebuild(const std::vector<SymbolPair>& syms) {
     hash ^= 0xff;
     hash *= 0x100000001b3ULL;
   };
-  for (const auto& [name_sym, value_sym] : syms_) {
+  for (const auto& [name_sym, value_sym] : syms) {
     mix(table.text(name_sym));
     mix(table.text(value_sym));
   }
-  fingerprint_ = hash;
+  return hash;
+}
+
+InternedLabels InternedLabels::from_sorted(std::vector<SymbolPair> syms) {
+  InternedLabels out;
+  out.fingerprint_ = fingerprint_of(syms);
+  out.syms_ = std::move(syms);
+  return out;
+}
+
+uint32_t InternedLabels::name_symbol() {
+  static const uint32_t sym = SymbolTable::global().intern(kMetricNameLabel);
+  return sym;
 }
 
 std::optional<std::string_view> InternedLabels::get(
@@ -100,15 +113,15 @@ std::optional<std::string_view> InternedLabels::get(
   SymbolTable& table = SymbolTable::global();
   auto name_sym = table.find(name);
   if (!name_sym) return std::nullopt;
-  for (const auto& [n, v] : syms_) {
-    if (n == *name_sym) return table.text(v);
-  }
-  return std::nullopt;
+  auto value_sym = get_symbol(*name_sym);
+  if (!value_sym) return std::nullopt;
+  return table.text(*value_sym);
 }
 
 std::string_view InternedLabels::name() const {
-  auto value = get(kMetricNameLabel);
-  return value ? *value : std::string_view{};
+  auto value_sym = get_symbol(name_symbol());
+  return value_sym ? SymbolTable::global().text(*value_sym)
+                   : std::string_view{};
 }
 
 InternedLabels InternedLabels::with(std::string_view name,
@@ -121,19 +134,33 @@ InternedLabels InternedLabels::with_symbols(uint32_t name_sym,
                                             uint32_t value_sym) const {
   std::vector<SymbolPair> syms;
   syms.reserve(syms_.size() + 1);
-  bool replaced = false;
-  for (const auto& pair : syms_) {
-    if (pair.first == name_sym) {
-      syms.emplace_back(name_sym, value_sym);
-      replaced = true;
-    } else {
-      syms.push_back(pair);
-    }
+  syms.assign(syms_.begin(), syms_.end());
+  auto same = std::find_if(syms.begin(), syms.end(), [&](const SymbolPair& p) {
+    return p.first == name_sym;
+  });
+  if (same != syms.end()) {
+    same->second = value_sym;
+  } else {
+    const SymbolTable& table = SymbolTable::global();
+    std::string_view name = table.text(name_sym);
+    auto at = std::find_if(syms.begin(), syms.end(), [&](const SymbolPair& p) {
+      return name < table.text(p.first);
+    });
+    syms.insert(at, {name_sym, value_sym});
   }
-  if (!replaced) syms.emplace_back(name_sym, value_sym);
-  InternedLabels out;
-  out.rebuild(syms);
-  return out;
+  return from_sorted(std::move(syms));
+}
+
+InternedLabels InternedLabels::without(uint32_t name_sym) const {
+  auto it = std::find_if(syms_.begin(), syms_.end(), [&](const SymbolPair& p) {
+    return p.first == name_sym;
+  });
+  if (it == syms_.end()) return *this;
+  std::vector<SymbolPair> syms;
+  syms.reserve(syms_.size() - 1);
+  syms.insert(syms.end(), syms_.begin(), it);
+  syms.insert(syms.end(), it + 1, syms_.end());
+  return from_sorted(std::move(syms));
 }
 
 Labels InternedLabels::to_labels() const {
@@ -147,24 +174,101 @@ Labels InternedLabels::to_labels() const {
   return Labels(std::move(pairs));
 }
 
-bool LabelMatcher::matches(const InternedLabels& labels) const {
-  auto actual = labels.get(name);
-  std::string_view value_view = actual.value_or(std::string_view{});
-  switch (op) {
-    case Op::kEq:
-      return value_view == value;
-    case Op::kNe:
-      return value_view != value;
-    case Op::kRegexMatch:
-    case Op::kRegexNoMatch: {
+std::string InternedLabels::to_string() const {
+  const SymbolTable& table = SymbolTable::global();
+  std::string out = "{";
+  bool first = true;
+  for (const auto& [name_sym, value_sym] : syms_) {
+    if (!first) out += ",";
+    first = false;
+    out += table.text(name_sym);
+    out += "=\"";
+    out += table.text(value_sym);
+    out += "\"";
+  }
+  out += "}";
+  return out;
+}
+
+bool InternedLabels::operator<(const InternedLabels& other) const {
+  const SymbolTable& table = SymbolTable::global();
+  const std::size_t n = std::min(syms_.size(), other.syms_.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const SymbolPair& a = syms_[i];
+    const SymbolPair& b = other.syms_[i];
+    // Interning is injective: equal ids are equal strings and different
+    // ids different strings, so only a differing id needs its text.
+    if (a.first != b.first) return table.text(a.first) < table.text(b.first);
+    if (a.second != b.second) {
+      return table.text(a.second) < table.text(b.second);
+    }
+  }
+  return syms_.size() < other.syms_.size();
+}
+
+SymbolMatcher::SymbolMatcher(const LabelMatcher& matcher) : matcher_(&matcher) {
+  const SymbolTable& table = SymbolTable::global();
+  name_sym_ = table.find(matcher.name);
+  switch (matcher.op) {
+    case LabelMatcher::Op::kEq:
+    case LabelMatcher::Op::kNe:
+      value_sym_ = table.find(matcher.value);
+      break;
+    case LabelMatcher::Op::kRegexMatch:
+    case LabelMatcher::Op::kRegexNoMatch:
+      break;  // compiled on first use, like LabelMatcher::matches
+  }
+}
+
+bool SymbolMatcher::matches(const InternedLabels& labels) const {
+  std::optional<uint32_t> actual;
+  if (name_sym_) actual = labels.get_symbol(*name_sym_);
+  switch (matcher_->op) {
+    case LabelMatcher::Op::kEq:
+    case LabelMatcher::Op::kNe: {
+      bool equal;
+      if (actual && value_sym_) {
+        equal = *actual == *value_sym_;
+      } else if (actual) {
+        // Interned after this matcher was resolved (a concurrent write).
+        equal = SymbolTable::global().text(*actual) == matcher_->value;
+      } else {
+        equal = matcher_->value.empty();
+      }
+      return matcher_->op == LabelMatcher::Op::kEq ? equal : !equal;
+    }
+    case LabelMatcher::Op::kRegexMatch:
+    case LabelMatcher::Op::kRegexNoMatch: {
       // PromQL regexes are fully anchored (same behaviour as the Labels
-      // overload in labels.cpp); the compile is cached per pattern.
-      auto re = compiled_anchored_regex(value);
-      bool match = std::regex_search(std::string(value_view), *re);
-      return op == Op::kRegexMatch ? match : !match;
+      // overload in labels.cpp).
+      std::string_view value =
+          actual ? SymbolTable::global().text(*actual) : std::string_view{};
+      if (!regex_) regex_ = compiled_anchored_regex(matcher_->value);
+      bool match = std::regex_search(value.begin(), value.end(), *regex_);
+      return matcher_->op == LabelMatcher::Op::kRegexMatch ? match : !match;
     }
   }
   return false;
+}
+
+bool matches_all(const std::vector<SymbolMatcher>& matchers,
+                 const InternedLabels& labels) {
+  for (const auto& matcher : matchers) {
+    if (!matcher.matches(labels)) return false;
+  }
+  return true;
+}
+
+std::vector<SymbolMatcher> resolve_matchers(
+    const std::vector<LabelMatcher>& matchers) {
+  std::vector<SymbolMatcher> out;
+  out.reserve(matchers.size());
+  for (const auto& matcher : matchers) out.emplace_back(matcher);
+  return out;
+}
+
+bool LabelMatcher::matches(const InternedLabels& labels) const {
+  return SymbolMatcher(*this).matches(labels);
 }
 
 }  // namespace ceems::metrics

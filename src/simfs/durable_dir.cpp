@@ -26,10 +26,10 @@ bool SimDurableDir::sync(const std::string& name) {
   return true;
 }
 
-bool SimDurableDir::replace(const std::string& name, std::string_view bytes) {
+bool SimDurableDir::replace(const std::string& name, std::string bytes) {
   std::lock_guard lock(mu_);
   File& file = files_[name];
-  file.durable.assign(bytes.data(), bytes.size());
+  file.durable = std::move(bytes);
   file.pending.clear();
   ++syncs_;
   return true;
@@ -150,7 +150,7 @@ bool RealDurableDir::sync(const std::string& name) {
   return ok;
 }
 
-bool RealDurableDir::replace(const std::string& name, std::string_view bytes) {
+bool RealDurableDir::replace(const std::string& name, std::string bytes) {
   {
     std::lock_guard lock(mu_);
     pending_.erase(name);

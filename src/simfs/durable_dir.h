@@ -40,8 +40,9 @@ class DurableDir {
   virtual bool sync(const std::string& name) = 0;
 
   // Atomically replaces `name` with exactly `bytes`, durably. Discards
-  // any buffered appends to the same name.
-  virtual bool replace(const std::string& name, std::string_view bytes) = 0;
+  // any buffered appends to the same name. Takes the bytes by value so a
+  // caller can hand over a large buffer (a checkpoint snapshot) by move.
+  virtual bool replace(const std::string& name, std::string bytes) = 0;
 
   // Durable content of `name`, or nullopt if it does not exist. Buffered
   // (unsynced) bytes are invisible — this is the post-crash view.
@@ -64,7 +65,7 @@ class SimDurableDir final : public DurableDir {
  public:
   bool append(const std::string& name, std::string_view bytes) override;
   bool sync(const std::string& name) override;
-  bool replace(const std::string& name, std::string_view bytes) override;
+  bool replace(const std::string& name, std::string bytes) override;
   std::optional<std::string> read(const std::string& name) const override;
   std::vector<std::string> list() const override;
   bool remove(const std::string& name) override;
@@ -102,7 +103,7 @@ class RealDurableDir final : public DurableDir {
 
   bool append(const std::string& name, std::string_view bytes) override;
   bool sync(const std::string& name) override;
-  bool replace(const std::string& name, std::string_view bytes) override;
+  bool replace(const std::string& name, std::string bytes) override;
   std::optional<std::string> read(const std::string& name) const override;
   std::vector<std::string> list() const override;
   bool remove(const std::string& name) override;

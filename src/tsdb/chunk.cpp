@@ -1,5 +1,6 @@
 #include "tsdb/chunk.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 
@@ -520,7 +521,7 @@ std::optional<SamplePoint> SeriesView::last() const {
   return std::nullopt;
 }
 
-SeriesView SeriesView::owned(metrics::Labels labels,
+SeriesView SeriesView::owned(metrics::InternedLabels labels,
                              std::vector<SamplePoint> samples) {
   SeriesView view{std::move(labels), {}};
   if (!samples.empty())
@@ -600,12 +601,17 @@ std::vector<ChunkSlice> ChunkedSeries::slices_between(TimestampMs min_t,
     }
     if (!points.empty()) out.push_back(ChunkSlice{nullptr, std::move(points)});
   }
-  std::vector<SamplePoint> head_points;
-  for (const auto& sp : head_) {
-    if (sp.t >= min_t && sp.t <= max_t) head_points.push_back(sp);
+  // Head timestamps strictly increase (append rejects older samples and
+  // overwrites equal ones), so the in-range part is one contiguous run.
+  auto lo = std::lower_bound(
+      head_.begin(), head_.end(), min_t,
+      [](const SamplePoint& sp, TimestampMs t) { return sp.t < t; });
+  auto hi = std::upper_bound(
+      lo, head_.end(), max_t,
+      [](TimestampMs t, const SamplePoint& sp) { return t < sp.t; });
+  if (lo != hi) {
+    out.push_back(ChunkSlice{nullptr, std::vector<SamplePoint>(lo, hi)});
   }
-  if (!head_points.empty())
-    out.push_back(ChunkSlice{nullptr, std::move(head_points)});
   return out;
 }
 

@@ -27,6 +27,7 @@
 
 #include "common/clock.h"
 #include "metrics/labels.h"
+#include "metrics/symbols.h"
 
 namespace ceems::tsdb {
 
@@ -131,7 +132,9 @@ struct ChunkSlice {
 // refcounts); samples() decodes. Materialise only at the point the full
 // sample vector is actually consumed.
 struct SeriesView {
-  metrics::Labels labels;
+  // The stored series' interned label set; strings are materialised only
+  // by materialize() and the API layer.
+  metrics::InternedLabels labels;
   std::vector<ChunkSlice> slices;
 
   // Exact number of samples in range, without decoding.
@@ -143,10 +146,10 @@ struct SeriesView {
   std::vector<SamplePoint> samples(DecodedChunkCache& cache) const;
   // Last sample in range; decodes at most one chunk.
   std::optional<SamplePoint> last() const;
-  Series materialize() const { return {labels, samples()}; }
+  Series materialize() const { return {labels.to_labels(), samples()}; }
 
   // Wraps already-materialised samples (merged/derived series).
-  static SeriesView owned(metrics::Labels labels,
+  static SeriesView owned(metrics::InternedLabels labels,
                           std::vector<SamplePoint> samples);
 };
 
@@ -229,7 +232,7 @@ using AggChunkPtr = std::shared_ptr<const AggChunk>;
 // view is only handed out when the level covers the requested span exactly,
 // so an absent bucket means "no raw samples in that bucket".
 struct AggSeriesView {
-  metrics::Labels labels;
+  metrics::InternedLabels labels;
   std::vector<AggBucket> buckets;
 };
 

@@ -22,6 +22,17 @@ Json labels_to_json(const Labels& labels) {
   return Json(std::move(object));
 }
 
+// Interned label sets render straight from the symbol table's text.
+Json labels_to_json(const InternedLabels& labels) {
+  const metrics::SymbolTable& table = metrics::SymbolTable::global();
+  JsonObject object;
+  for (const auto& [name_sym, value_sym] : labels.pairs()) {
+    object[std::string(table.text(name_sym))] =
+        Json(std::string(table.text(value_sym)));
+  }
+  return Json(std::move(object));
+}
+
 Json sample_pair(common::TimestampMs t, double v) {
   JsonArray pair;
   pair.push_back(Json(static_cast<double>(t) / 1000.0));

@@ -13,14 +13,6 @@ namespace ceems::tsdb {
 
 namespace {
 
-bool matches_all(const std::vector<LabelMatcher>& matchers,
-                 const Labels& labels) {
-  for (const auto& matcher : matchers) {
-    if (!matcher.matches(labels)) return false;
-  }
-  return true;
-}
-
 // A freshly-opened bucket: min/max start as NaN ("no non-NaN sample seen
 // yet"), sum starts at 0 so the bucket fold is the same left fold the
 // engine's sum_over_time runs.
@@ -129,11 +121,12 @@ std::size_t LongTermStore::sync_from(const TimeSeriesStore& hot) {
 }
 
 std::vector<LongTermStore::LevelSeries::const_pointer> LongTermStore::matching(
-    const AggLevel& level, const std::vector<LabelMatcher>& matchers) {
+    const AggLevel& level, const std::vector<LabelMatcher>& matchers,
+    const std::vector<metrics::SymbolMatcher>& resolved) {
   std::vector<LevelSeries::const_pointer> out;
   auto collect = [&](const LevelSeries& series) {
     for (const auto& entry : series) {
-      if (matches_all(matchers, entry.first)) out.push_back(&entry);
+      if (metrics::matches_all(resolved, entry.first)) out.push_back(&entry);
     }
   };
   for (const auto& matcher : matchers) {
@@ -191,8 +184,7 @@ void LongTermStore::compact(common::TimestampMs now) {
       TimestampMs from =
           level.cursor_ms == INT64_MIN ? INT64_MIN : level.cursor_ms + 1;
       for (const auto& view : raw_.select({}, from, target)) {
-        auto& series =
-            level.series[std::string(view.labels.name())][view.labels];
+        auto& series = level.series[view.labels.name()][view.labels];
         AggBucket bucket;
         bool open = false;
         for (const auto& sample : view.samples()) {
@@ -277,8 +269,9 @@ std::vector<SeriesView> LongTermStore::select(
   // History the raw side no longer covers, synthesised from the finest
   // aggregate level as one last-sample-per-bucket point each — the same
   // shape the old single-level downsample produced, including a trailing
-  // staleness marker when the bucket ended with one.
-  std::map<Labels, SeriesView> merged;
+  // staleness marker when the bucket ended with one. Sorted by labels.
+  const auto resolved = metrics::resolve_matchers(matchers);
+  std::vector<SeriesView> history;
   if (!levels_.empty() && raw_purged_end_ != INT64_MIN && min_t <= max_t) {
     const AggLevel& finest = levels_.front();
     const int64_t res = finest.config.resolution_ms;
@@ -286,7 +279,7 @@ std::vector<SeriesView> LongTermStore::select(
     // same end and keeps agg_bucket_end from overflowing on a max_t near
     // INT64_MAX.
     TimestampMs hi_end = agg_bucket_end(std::min(max_t, raw_purged_end_), res);
-    for (const auto* entry : matching(finest, matchers)) {
+    for (const auto* entry : matching(finest, matchers, resolved)) {
       const auto& [labels, series] = *entry;
       std::vector<SamplePoint> points;
       for (const auto& bucket : series.buckets_between(min_t, hi_end)) {
@@ -302,33 +295,35 @@ std::vector<SeriesView> LongTermStore::select(
         points.push_back(point);
       }
       if (points.empty()) continue;
-      Labels key = labels;
-      merged.emplace(std::move(key),
-                     SeriesView::owned(labels, std::move(points)));
+      history.push_back(SeriesView::owned(labels, std::move(points)));
     }
   }
 
   std::vector<SeriesView> fine = raw_.select(matchers, min_t, max_t);
 
-  // Merge per label set: synthesised history followed by the raw tail.
-  // Keyed by the full label set, not its fingerprint — two distinct label
-  // sets whose fingerprints collide must stay distinct series. Series
-  // present on only one side keep their views. Straddling series are
-  // spliced slice-wise: raw is only purged up to a boundary the ladder has
-  // fully aggregated, so every raw slice is strictly newer than the
-  // history's end and rides along still-compressed — no materialisation,
-  // no decode. The decode-and-filter branch below only fires if that
-  // invariant is ever broken.
+  // Merge the two label-sorted lists: synthesised history followed by the
+  // raw tail. Matched by the full label set, not its fingerprint — two
+  // distinct label sets whose fingerprints collide must stay distinct
+  // series. Series present on only one side keep their views. Straddling
+  // series are spliced slice-wise: raw is only purged up to a boundary
+  // the ladder has fully aggregated, so every raw slice is strictly newer
+  // than the history's end and rides along still-compressed — no
+  // materialisation, no decode. The decode-and-filter branch below only
+  // fires if that invariant is ever broken.
+  std::vector<SeriesView> out;
+  out.reserve(history.size() + fine.size());
   std::size_t spliced_count = 0;
+  std::size_t h = 0;
   for (auto& view : fine) {
-    auto it = merged.find(view.labels);
-    if (it == merged.end()) {
-      Labels key = view.labels;
-      merged.emplace(std::move(key), std::move(view));
+    while (h < history.size() && history[h].labels < view.labels) {
+      out.push_back(std::move(history[h++]));
+    }
+    if (h == history.size() || history[h].labels != view.labels) {
+      out.push_back(std::move(view));
       continue;
     }
     ++spliced_count;
-    SeriesView& dst = it->second;
+    SeriesView& dst = history[h];
     TimestampMs newest = dst.slices.back().max_time();
     dst.slices.reserve(dst.slices.size() + view.slices.size());
     for (auto& slice : view.slices) {
@@ -355,15 +350,13 @@ std::vector<SeriesView> LongTermStore::select(
         dst.slices.push_back(ChunkSlice{nullptr, std::move(kept)});
       }
     }
+    out.push_back(std::move(history[h++]));
   }
+  while (h < history.size()) out.push_back(std::move(history[h++]));
   select_stats_.spliced_views += spliced_count;
-  select_stats_.chunk_backed_views += merged.size() - spliced_count;
-  std::vector<SeriesView> out;
-  out.reserve(merged.size());
-  // Map iteration is ordered by labels, so output stays deterministic.
-  for (auto& [key, view] : merged) {
+  select_stats_.chunk_backed_views += out.size() - spliced_count;
+  for (const auto& view : out) {
     select_stats_.raw_points_scanned += view.sample_count();
-    out.push_back(std::move(view));
   }
   return out;
 }
@@ -390,7 +383,8 @@ std::optional<std::vector<AggSeriesView>> LongTermStore::select_agg(
     }
     std::vector<AggSeriesView> out;
     std::size_t rows = 0;
-    for (const auto* entry : matching(level, matchers)) {
+    for (const auto* entry :
+         matching(level, matchers, metrics::resolve_matchers(matchers))) {
       const auto& [labels, series] = *entry;
       auto buckets = series.buckets_between(min_end, max_end);
       if (buckets.empty()) continue;

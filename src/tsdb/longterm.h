@@ -112,13 +112,15 @@ class LongTermStore final : public Queryable {
   LongTermSelectStats select_stats() const;
 
  private:
-  using LevelSeries = std::map<Labels, AggChunkedSeries>;
+  // Ordered by label strings (InternedLabels::operator<), so every read
+  // is deterministic and in select() order.
+  using LevelSeries = std::map<InternedLabels, AggChunkedSeries>;
   struct AggLevel {
     AggLevelConfig config;
-    // Keyed by metric name, then by the full label set (ordered, so every
-    // read is deterministic), so a select with a fixed name tests only
+    // Keyed by metric name (a view of the symbol table's stable text),
+    // then by the full label set, so a select with a fixed name tests only
     // that name's series.
-    std::map<std::string, LevelSeries> series;
+    std::map<std::string_view, LevelSeries> series;
     // Buckets with end <= cursor_ms are complete and immutable.
     TimestampMs cursor_ms = INT64_MIN;
     // Buckets with end <= purged_end_ms may have been dropped by
@@ -132,7 +134,8 @@ class LongTermStore final : public Queryable {
   TimestampMs align_down_all_levels(TimestampMs t) const;
   // Series of `level` matching every matcher, sorted by labels.
   static std::vector<LevelSeries::const_pointer> matching(
-      const AggLevel& level, const std::vector<LabelMatcher>& matchers);
+      const AggLevel& level, const std::vector<LabelMatcher>& matchers,
+      const std::vector<metrics::SymbolMatcher>& resolved);
 
   LongTermConfig config_;
   std::shared_ptr<common::ThreadPool> pool_;

@@ -15,6 +15,120 @@ namespace ceems::tsdb::promql {
 namespace {
 
 using metrics::kMetricNameLabel;
+using metrics::SymbolTable;
+using SymbolPairs = std::vector<InternedLabels::SymbolPair>;
+
+// ---------- interned label helpers ----------
+
+// Resolves a by/on/without/ignoring/group_x name list to symbols, once per
+// expression evaluation and after its operands were evaluated (so names
+// that label_replace introduced resolve). A name never interned labels no
+// series and is left out.
+std::vector<uint32_t> resolve_names(const std::vector<std::string>& names) {
+  const SymbolTable& table = SymbolTable::global();
+  std::vector<uint32_t> out;
+  out.reserve(names.size());
+  for (const auto& name : names) {
+    if (auto sym = table.find(name)) out.push_back(*sym);
+  }
+  return out;
+}
+
+// Writes into `out` the pairs of `labels` whose name is in `names` (keep)
+// or not in `names` (drop; the metric name is dropped too). A subset of
+// canonically ordered pairs is canonically ordered.
+void project(const InternedLabels& labels, const std::vector<uint32_t>& names,
+             bool keep, SymbolPairs& out) {
+  const uint32_t name_sym = InternedLabels::name_symbol();
+  out.clear();
+  for (const auto& pair : labels.pairs()) {
+    bool listed =
+        std::find(names.begin(), names.end(), pair.first) != names.end();
+    if (keep ? listed : (!listed && pair.first != name_sym)) {
+      out.push_back(pair);
+    }
+  }
+}
+
+// Distinct label-pair sets in first-seen order, found by a hash of their
+// symbol ids and confirmed by comparing the ids — grouping and vector
+// matching key on label identity without a string fingerprint per sample.
+// Keys live back to back in one arena and the table is open-addressed,
+// so inserting a key allocates nothing once capacity is reached.
+class PairsIndex {
+ public:
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+  std::size_t find(const SymbolPairs& pairs) const {
+    if (slots_.empty()) return npos;
+    const uint64_t h = hash(pairs);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t s = h & mask; slots_[s] != 0; s = (s + 1) & mask) {
+      const std::size_t i = slots_[s] - 1;
+      if (keys_[i].hash == h && equals(i, pairs)) return i;
+    }
+    return npos;
+  }
+  // Index of `pairs`, adding a copy when absent; `inserted` says which.
+  std::size_t insert(const SymbolPairs& pairs, bool& inserted) {
+    if (2 * (keys_.size() + 1) > slots_.size()) grow();
+    const uint64_t h = hash(pairs);
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t s = h & mask;
+    for (; slots_[s] != 0; s = (s + 1) & mask) {
+      const std::size_t i = slots_[s] - 1;
+      if (keys_[i].hash == h && equals(i, pairs)) {
+        inserted = false;
+        return i;
+      }
+    }
+    inserted = true;
+    keys_.push_back({h, static_cast<uint32_t>(arena_.size()),
+                     static_cast<uint32_t>(pairs.size())});
+    arena_.insert(arena_.end(), pairs.begin(), pairs.end());
+    slots_[s] = static_cast<uint32_t>(keys_.size());
+    return keys_.size() - 1;
+  }
+  SymbolPairs key(std::size_t i) const {
+    auto first = arena_.begin() + keys_[i].offset;
+    return SymbolPairs(first, first + keys_[i].size);
+  }
+  std::size_t size() const { return keys_.size(); }
+
+ private:
+  struct Key {
+    uint64_t hash;
+    uint32_t offset;  // into arena_
+    uint32_t size;
+  };
+
+  static uint64_t hash(const SymbolPairs& pairs) {
+    uint64_t h = 0x9e3779b97f4a7c15ULL ^ pairs.size();
+    for (const auto& [name, value] : pairs) {
+      h ^= (uint64_t{name} << 32) | value;
+      h *= 0xff51afd7ed558ccdULL;
+      h ^= h >> 32;
+    }
+    return h;
+  }
+  bool equals(std::size_t i, const SymbolPairs& pairs) const {
+    return keys_[i].size == pairs.size() &&
+           std::equal(pairs.begin(), pairs.end(),
+                      arena_.begin() + keys_[i].offset);
+  }
+  void grow() {
+    slots_.assign(slots_.empty() ? 16 : 2 * slots_.size(), 0);
+    for (std::size_t i = 0; i < keys_.size(); ++i) {
+      std::size_t s = keys_[i].hash & (slots_.size() - 1);
+      while (slots_[s] != 0) s = (s + 1) & (slots_.size() - 1);
+      slots_[s] = static_cast<uint32_t>(i + 1);
+    }
+  }
+
+  std::vector<InternedLabels::SymbolPair> arena_;
+  std::vector<Key> keys_;
+  std::vector<uint32_t> slots_;  // key index + 1; 0 = empty; power of two
+};
 
 // ---------- selector evaluation ----------
 
@@ -33,31 +147,32 @@ InstantVector eval_vector_selector(const Queryable& source, const Expr& expr,
   auto views = source.select(full_matchers(expr), at - lookback_ms, at);
   InstantVector out;
   out.reserve(views.size());
-  for (const auto& view : views) {
+  for (auto& view : views) {
     // last() decodes at most one chunk; an instant selector never pays for
     // materialising the whole lookback window. A staleness marker as the
     // newest sample means the series ended: it drops out of the vector
     // now, not when the lookback window drains.
     if (auto last = view.last()) {
       if (metrics::is_stale_marker(last->v)) continue;
-      out.push_back({view.labels, last->v});
+      out.push_back({std::move(view.labels), last->v});
     }
   }
   return out;
 }
 
-std::vector<Series> eval_matrix_selector(const Queryable& source,
-                                         const Expr& expr, TimestampMs t) {
+std::vector<MatrixSeries> eval_matrix_selector(const Queryable& source,
+                                               const Expr& expr,
+                                               TimestampMs t) {
   TimestampMs at = t - expr.offset_ms;
   // Range selectors are left-open: (t-range, t]. Range functions walk the
   // full window, so views materialise here — the API boundary. Staleness
   // markers are boundaries, not observations: they are filtered out so
   // rate()/avg_over_time() never fold a marker NaN into a window.
   auto views = source.select(full_matchers(expr), at - expr.range_ms + 1, at);
-  std::vector<Series> out;
+  std::vector<MatrixSeries> out;
   out.reserve(views.size());
-  for (const auto& view : views) {
-    Series series = view.materialize();
+  for (auto& view : views) {
+    MatrixSeries series{std::move(view.labels), view.samples()};
     series.samples.erase(
         std::remove_if(series.samples.begin(), series.samples.end(),
                        [](const SamplePoint& sample) {
@@ -322,14 +437,6 @@ double scalar_binop(const std::string& op, double lhs, double rhs) {
   throw EvalError("unknown operator " + op);
 }
 
-// Signature labels used to pair series across a binary op.
-Labels match_signature(const Labels& labels, const VectorMatching& matching) {
-  if (matching.is_on) return labels.keep_only(matching.labels);
-  std::vector<std::string> drop = matching.labels;
-  drop.push_back(std::string(kMetricNameLabel));
-  return labels.drop(drop);
-}
-
 InstantVector vector_scalar_op(const std::string& op, bool bool_modifier,
                                const InstantVector& vector, double scalar,
                                bool scalar_on_left) {
@@ -342,10 +449,7 @@ InstantVector vector_scalar_op(const std::string& op, bool bool_modifier,
       if (value == 0) continue;  // filter semantics
       out.push_back({sample.labels, sample.value});
     } else {
-      Labels labels = is_comparison(op) && bool_modifier
-                          ? sample.labels.without_name()
-                          : sample.labels.without_name();
-      out.push_back({labels, value});
+      out.push_back({sample.labels.without_name(), value});
     }
   }
   return out;
@@ -356,33 +460,40 @@ InstantVector vector_vector_op(const Expr& expr, const InstantVector& lhs,
   const VectorMatching& matching = expr.matching;
   InstantVector out;
 
+  // The signature pairing series across the op: on() keeps the listed
+  // labels, ignoring() drops them and the metric name. `scratch` holds
+  // the most recent one.
+  const std::vector<uint32_t> names = resolve_names(matching.labels);
+  SymbolPairs scratch;
+  auto signature = [&](const InternedLabels& labels) -> const SymbolPairs& {
+    project(labels, names, matching.is_on, scratch);
+    return scratch;
+  };
+
   if (is_set_op(expr.op)) {
-    std::unordered_map<uint64_t, const VectorSample*> rhs_by_sig;
+    PairsIndex rhs_sigs;
+    bool inserted = false;
     for (const auto& sample : rhs) {
-      rhs_by_sig[match_signature(sample.labels, matching).fingerprint()] =
-          &sample;
+      rhs_sigs.insert(signature(sample.labels), inserted);
     }
     if (expr.op == "and") {
       for (const auto& sample : lhs) {
-        if (rhs_by_sig.count(
-                match_signature(sample.labels, matching).fingerprint()))
+        if (rhs_sigs.find(signature(sample.labels)) != PairsIndex::npos)
           out.push_back(sample);
       }
     } else if (expr.op == "unless") {
       for (const auto& sample : lhs) {
-        if (!rhs_by_sig.count(
-                match_signature(sample.labels, matching).fingerprint()))
+        if (rhs_sigs.find(signature(sample.labels)) == PairsIndex::npos)
           out.push_back(sample);
       }
     } else {  // or
-      std::unordered_map<uint64_t, bool> lhs_sigs;
+      PairsIndex lhs_sigs;
       for (const auto& sample : lhs) {
-        lhs_sigs[match_signature(sample.labels, matching).fingerprint()] = true;
+        lhs_sigs.insert(signature(sample.labels), inserted);
         out.push_back(sample);
       }
       for (const auto& sample : rhs) {
-        if (!lhs_sigs.count(
-                match_signature(sample.labels, matching).fingerprint()))
+        if (lhs_sigs.find(signature(sample.labels)) == PairsIndex::npos)
           out.push_back(sample);
       }
     }
@@ -398,41 +509,47 @@ InstantVector vector_vector_op(const Expr& expr, const InstantVector& lhs,
   bool swapped = matching.group == VectorMatching::Group::kRight;
   bool grouped = matching.group != VectorMatching::Group::kNone;
 
-  std::unordered_map<uint64_t, const VectorSample*> one_by_sig;
+  PairsIndex one_sigs;  // index i pairs with one_samples[i]
+  std::vector<const VectorSample*> one_samples;
   for (const auto& sample : one) {
-    uint64_t sig = match_signature(sample.labels, matching).fingerprint();
-    if (one_by_sig.count(sig))
+    bool inserted = false;
+    one_sigs.insert(signature(sample.labels), inserted);
+    if (!inserted)
       throw EvalError("many-to-many matching in binary expression: " +
                       expr.to_string());
-    one_by_sig[sig] = &sample;
+    one_samples.push_back(&sample);
   }
 
-  std::unordered_map<uint64_t, int> result_seen;
+  const std::vector<uint32_t> include = resolve_names(matching.include);
+  PairsIndex result_seen;
   for (const auto& sample : many) {
-    Labels signature = match_signature(sample.labels, matching);
-    auto it = one_by_sig.find(signature.fingerprint());
-    if (it == one_by_sig.end()) continue;
-    double lhs_value = swapped ? it->second->value : sample.value;
-    double rhs_value = swapped ? sample.value : it->second->value;
+    const SymbolPairs& sig = signature(sample.labels);
+    std::size_t match = one_sigs.find(sig);
+    if (match == PairsIndex::npos) continue;
+    const VectorSample& other = *one_samples[match];
+    double lhs_value = swapped ? other.value : sample.value;
+    double rhs_value = swapped ? sample.value : other.value;
     double value = scalar_binop(expr.op, lhs_value, rhs_value);
 
-    Labels result_labels;
+    InternedLabels result_labels;
     if (is_comparison(expr.op) && !expr.bool_modifier) {
       if (value == 0) continue;
       result_labels = sample.labels;  // filter keeps original labels
       value = sample.value;
     } else if (grouped) {
       result_labels = sample.labels.without_name();
-      for (const auto& include : matching.include) {
-        if (auto v = it->second->labels.get(include))
-          result_labels = result_labels.with(include, *v);
+      for (uint32_t name : include) {
+        if (auto v = other.labels.get_symbol(name))
+          result_labels = result_labels.with_symbols(name, *v);
       }
     } else {
-      result_labels = signature;
+      result_labels = InternedLabels::from_sorted(sig);
     }
     // One-to-one: each signature may only be produced once.
     if (!grouped) {
-      if (result_seen[signature.fingerprint()]++)
+      bool inserted = false;
+      result_seen.insert(sig, inserted);
+      if (!inserted)
         throw EvalError("multiple matches for one-to-one vector match: " +
                         expr.to_string());
     }
@@ -445,65 +562,91 @@ InstantVector vector_vector_op(const Expr& expr, const InstantVector& lhs,
 
 InstantVector eval_aggregate(const Expr& expr, const InstantVector& input,
                              double param) {
-  struct Group {
-    Labels labels;
-    std::vector<double> values;
-    std::vector<const VectorSample*> samples;
-  };
-  std::map<uint64_t, Group> groups;
-  for (const auto& sample : input) {
-    Labels group_labels;
+  // Groups are found by symbol ids; the canonical fingerprint, which
+  // fixes the output order, is computed once per group.
+  const std::vector<uint32_t> names = resolve_names(expr.grouping);
+  PairsIndex keys;
+  std::vector<uint32_t> group_of(input.size());
+  SymbolPairs scratch;
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    // Without grouping everything lands in a single empty-label group.
     if (expr.agg_grouped) {
-      group_labels = expr.agg_by
-                         ? sample.labels.keep_only(expr.grouping)
-                         : sample.labels.drop(expr.grouping).without_name();
-    }  // else: aggregate everything into a single empty-label group
-    uint64_t key = group_labels.fingerprint();
-    Group& group = groups[key];
-    group.labels = std::move(group_labels);
-    group.values.push_back(sample.value);
-    group.samples.push_back(&sample);
+      project(input[i].labels, names, expr.agg_by, scratch);
+    }
+    bool inserted = false;
+    group_of[i] = static_cast<uint32_t>(keys.insert(scratch, inserted));
   }
+  // Counting sort: group g's members are members[begin[g], begin[g + 1]),
+  // in input order.
+  const std::size_t num_groups = keys.size();
+  std::vector<uint32_t> begin(num_groups + 1, 0);
+  for (uint32_t g : group_of) ++begin[g + 1];
+  for (std::size_t g = 0; g < num_groups; ++g) begin[g + 1] += begin[g];
+  std::vector<uint32_t> members(input.size());
+  std::vector<double> values(input.size());
+  {
+    std::vector<uint32_t> next(begin.begin(), begin.end() - 1);
+    for (std::size_t i = 0; i < input.size(); ++i) {
+      uint32_t slot = next[group_of[i]]++;
+      members[slot] = static_cast<uint32_t>(i);
+      values[slot] = input[i].value;
+    }
+  }
+  std::vector<InternedLabels> labels;
+  labels.reserve(num_groups);
+  std::vector<uint32_t> ordered(num_groups);
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    labels.push_back(InternedLabels::from_sorted(keys.key(g)));
+    ordered[g] = static_cast<uint32_t>(g);
+  }
+  std::sort(ordered.begin(), ordered.end(), [&](uint32_t a, uint32_t b) {
+    return labels[a].fingerprint() < labels[b].fingerprint();
+  });
 
   InstantVector out;
-  for (auto& [key, group] : groups) {
-    const std::string& op = expr.agg_op;
+  const std::string& op = expr.agg_op;
+  for (uint32_t g : ordered) {
+    const double* first = values.data() + begin[g];
+    const double* last = values.data() + begin[g + 1];
+    const std::size_t count = begin[g + 1] - begin[g];
     if (op == "topk" || op == "bottomk") {
       int k = std::max(0, static_cast<int>(param));
-      std::vector<std::size_t> order(group.values.size());
+      std::vector<std::size_t> order(count);
       for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
       std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return op == "topk" ? group.values[a] > group.values[b]
-                            : group.values[a] < group.values[b];
+        return op == "topk" ? first[a] > first[b] : first[a] < first[b];
       });
       for (int i = 0; i < k && i < static_cast<int>(order.size()); ++i) {
-        out.push_back(*group.samples[order[static_cast<std::size_t>(i)]]);
+        out.push_back(
+            input[members[begin[g] + order[static_cast<std::size_t>(i)]]]);
       }
       continue;
     }
     double result = 0;
     if (op == "sum") {
-      for (double v : group.values) result += v;
+      for (const double* v = first; v != last; ++v) result += *v;
     } else if (op == "avg") {
-      for (double v : group.values) result += v;
-      result /= static_cast<double>(group.values.size());
+      for (const double* v = first; v != last; ++v) result += *v;
+      result /= static_cast<double>(count);
     } else if (op == "min") {
-      result = *std::min_element(group.values.begin(), group.values.end());
+      result = *std::min_element(first, last);
     } else if (op == "max") {
-      result = *std::max_element(group.values.begin(), group.values.end());
+      result = *std::max_element(first, last);
     } else if (op == "count") {
-      result = static_cast<double>(group.values.size());
+      result = static_cast<double>(count);
     } else if (op == "group") {
       result = 1;
     } else if (op == "stddev") {
       double mean = 0;
-      for (double v : group.values) mean += v;
-      mean /= static_cast<double>(group.values.size());
+      for (const double* v = first; v != last; ++v) mean += *v;
+      mean /= static_cast<double>(count);
       double var = 0;
-      for (double v : group.values) var += (v - mean) * (v - mean);
-      result = std::sqrt(var / static_cast<double>(group.values.size()));
+      for (const double* v = first; v != last; ++v) {
+        var += (*v - mean) * (*v - mean);
+      }
+      result = std::sqrt(var / static_cast<double>(count));
     } else if (op == "quantile") {
-      std::vector<double> sorted = group.values;
+      std::vector<double> sorted(first, last);
       std::sort(sorted.begin(), sorted.end());
       double q = std::clamp(param, 0.0, 1.0);
       double rank = q * static_cast<double>(sorted.size() - 1);
@@ -513,7 +656,7 @@ InstantVector eval_aggregate(const Expr& expr, const InstantVector& input,
     } else {
       throw EvalError("unknown aggregator " + op);
     }
-    out.push_back({group.labels, result});
+    out.push_back({std::move(labels[g]), result});
   }
   return out;
 }
@@ -599,7 +742,7 @@ class Evaluator {
   virtual InstantVector vector_selector(const Expr& expr) {
     return eval_vector_selector(source_, expr, t_, lookback_ms_);
   }
-  virtual std::vector<Series> matrix_selector(const Expr& expr) {
+  virtual std::vector<MatrixSeries> matrix_selector(const Expr& expr) {
     return eval_matrix_selector(source_, expr, t_);
   }
   // Incremental fast path for a range function applied directly to a
@@ -769,7 +912,8 @@ class Evaluator {
       Value arg;
       if (expr->args.empty()) {
         arg.kind = Value::Kind::kVector;
-        arg.vector.push_back({Labels{}, static_cast<double>(t_) / 1000.0});
+        arg.vector.push_back(
+            {InternedLabels{}, static_cast<double>(t_) / 1000.0});
       } else {
         arg = eval_arg_vector(expr, 0);
       }
@@ -790,7 +934,7 @@ class Evaluator {
     if (func == "vector") {
       Value arg = eval_arg_scalar(expr, 0);
       out.kind = Value::Kind::kVector;
-      out.vector.push_back({Labels{}, arg.scalar});
+      out.vector.push_back({InternedLabels{}, arg.scalar});
       return out;
     }
     if (func == "scalar") {
@@ -803,7 +947,7 @@ class Evaluator {
     if (func == "absent") {
       Value arg = eval_arg_vector(expr, 0);
       out.kind = Value::Kind::kVector;
-      if (arg.vector.empty()) out.vector.push_back({Labels{}, 1});
+      if (arg.vector.empty()) out.vector.push_back({InternedLabels{}, 1});
       return out;
     }
     if (func == "label_replace") {
@@ -816,15 +960,23 @@ class Evaluator {
       std::string pattern = eval_string(expr, 4);
       // Cached compile: label_replace re-evaluates at every range step.
       auto re = metrics::compiled_anchored_regex(pattern);
+      SymbolTable& table = SymbolTable::global();
+      std::optional<uint32_t> src_sym = table.find(src);
+      std::optional<uint32_t> dst_sym;
       out.kind = Value::Kind::kVector;
-      for (auto sample : arg.vector) {
-        std::string source_value(sample.labels.get(src).value_or(""));
-        std::smatch match;
-        if (std::regex_match(source_value, match, *re)) {
-          std::string value = match.format(replacement);
-          sample.labels = sample.labels.with(dst, value);
+      out.vector = std::move(arg.vector);
+      for (auto& sample : out.vector) {
+        std::optional<uint32_t> value_sym;
+        if (src_sym) value_sym = sample.labels.get_symbol(*src_sym);
+        std::string_view source_value =
+            value_sym ? table.text(*value_sym) : std::string_view{};
+        std::match_results<std::string_view::const_iterator> match;
+        if (std::regex_match(source_value.begin(), source_value.end(), match,
+                             *re)) {
+          if (!dst_sym) dst_sym = table.intern(dst);
+          sample.labels = sample.labels.with_symbols(
+              *dst_sym, table.intern(match.format(replacement)));
         }
-        out.vector.push_back(std::move(sample));
       }
       return out;
     }
@@ -832,17 +984,26 @@ class Evaluator {
       if (expr->args.size() < 4)
         throw EvalError("label_join expects >= 4 arguments");
       Value arg = eval_arg_vector(expr, 0);
-      std::string dst = eval_string(expr, 1);
+      SymbolTable& table = SymbolTable::global();
+      const uint32_t dst_sym = table.intern(eval_string(expr, 1));
       std::string sep = eval_string(expr, 2);
+      std::vector<std::optional<uint32_t>> src_syms;
+      for (std::size_t i = 3; i < expr->args.size(); ++i) {
+        src_syms.push_back(table.find(eval_string(expr, i)));
+      }
       out.kind = Value::Kind::kVector;
-      for (auto sample : arg.vector) {
-        std::string joined;
-        for (std::size_t i = 3; i < expr->args.size(); ++i) {
-          if (i > 3) joined += sep;
-          joined += sample.labels.get(eval_string(expr, i)).value_or("");
+      out.vector = std::move(arg.vector);
+      std::string joined;
+      for (auto& sample : out.vector) {
+        joined.clear();
+        for (std::size_t i = 0; i < src_syms.size(); ++i) {
+          if (i > 0) joined += sep;
+          if (!src_syms[i]) continue;
+          if (auto value_sym = sample.labels.get_symbol(*src_syms[i]))
+            joined += table.text(*value_sym);
         }
-        sample.labels = sample.labels.with(dst, joined);
-        out.vector.push_back(std::move(sample));
+        sample.labels =
+            sample.labels.with_symbols(dst_sym, table.intern(joined));
       }
       return out;
     }
@@ -973,7 +1134,7 @@ void collect_plannable_calls(const ExprPtr& expr,
 }
 
 struct PreparedSeries {
-  Labels labels;
+  InternedLabels labels;
   // Full-span, time-ordered. Matrix selectors store the series with
   // staleness markers already filtered out (mirroring
   // eval_matrix_selector); vector selectors keep markers, because a marker
@@ -1161,7 +1322,7 @@ class RangeEvaluator final : public Evaluator {
     return out;
   }
 
-  std::vector<Series> matrix_selector(const Expr& expr) override {
+  std::vector<MatrixSeries> matrix_selector(const Expr& expr) override {
     // Generic consumers of a range vector (predict_linear, or a range
     // function we have no incremental form for) get a materialised copy of
     // the current window — sliced from the prepared array, never from a
@@ -1170,7 +1331,7 @@ class RangeEvaluator final : public Evaluator {
     auto& cursor = window_cursors_[&expr];
     cursor.resize(selector.series.size());
     TimestampMs at = time() - expr.offset_ms;
-    std::vector<Series> out;
+    std::vector<MatrixSeries> out;
     out.reserve(selector.series.size());
     for (std::size_t i = 0; i < selector.series.size(); ++i) {
       const auto& samples = selector.series[i].samples;
@@ -1367,18 +1528,18 @@ class RangeEvaluator final : public Evaluator {
 
 // Folds one step's Value into the fingerprint-keyed accumulator shared by
 // the serial and streaming range paths.
-void accumulate_step(std::map<uint64_t, Series>& by_labels, Value&& value,
-                     TimestampMs t) {
+void accumulate_step(std::map<uint64_t, MatrixSeries>& by_labels,
+                     Value&& value, TimestampMs t) {
   if (value.kind == Value::Kind::kScalar) {
-    Series& series = by_labels[Labels{}.fingerprint()];
+    MatrixSeries& series = by_labels[InternedLabels{}.fingerprint()];
     series.samples.push_back({t, value.scalar});
     return;
   }
   if (value.kind != Value::Kind::kVector)
     throw EvalError("range query must evaluate to vector or scalar");
-  for (const auto& sample : value.vector) {
-    Series& series = by_labels[sample.labels.fingerprint()];
-    series.labels = sample.labels;
+  for (auto& sample : value.vector) {
+    MatrixSeries& series = by_labels[sample.labels.fingerprint()];
+    if (series.samples.empty()) series.labels = std::move(sample.labels);
     series.samples.push_back({t, sample.value});
   }
 }
@@ -1386,10 +1547,10 @@ void accumulate_step(std::map<uint64_t, Series>& by_labels, Value&& value,
 // Runs eval_steps over [start, end], chunking the step grid across the
 // pool when it pays off; chunk results merge in step order, so the output
 // is bit-identical to the serial sweep.
-std::map<uint64_t, Series> run_steps_chunked(
+std::map<uint64_t, MatrixSeries> run_steps_chunked(
     common::ThreadPool* pool, int64_t min_parallel_steps, TimestampMs start,
     TimestampMs end, int64_t step_ms,
-    const std::function<std::map<uint64_t, Series>(TimestampMs, TimestampMs)>&
+    const std::function<std::map<uint64_t, MatrixSeries>(TimestampMs, TimestampMs)>&
         eval_steps) {
   const int64_t num_steps = end < start ? 0 : (end - start) / step_ms + 1;
   if (!pool || pool->size() < 2 || num_steps < min_parallel_steps) {
@@ -1398,7 +1559,7 @@ std::map<uint64_t, Series> run_steps_chunked(
   const int64_t num_chunks =
       std::min<int64_t>(num_steps, static_cast<int64_t>(pool->size()) * 4);
   const int64_t steps_per_chunk = (num_steps + num_chunks - 1) / num_chunks;
-  std::vector<std::map<uint64_t, Series>> partials(
+  std::vector<std::map<uint64_t, MatrixSeries>> partials(
       static_cast<std::size_t>(num_chunks));
   std::vector<std::function<void()>> tasks;
   tasks.reserve(static_cast<std::size_t>(num_chunks));
@@ -1415,10 +1576,10 @@ std::map<uint64_t, Series> run_steps_chunked(
     });
   }
   pool->run_all(std::move(tasks));
-  std::map<uint64_t, Series> by_labels;
+  std::map<uint64_t, MatrixSeries> by_labels;
   for (auto& partial : partials) {
     for (auto& [key, series] : partial) {
-      Series& dst = by_labels[key];
+      MatrixSeries& dst = by_labels[key];
       if (dst.samples.empty()) {
         dst = std::move(series);
       } else {
@@ -1444,10 +1605,10 @@ Value Engine::eval(const Queryable& source, const std::string& expr,
   return eval(source, parse(expr), t);
 }
 
-std::map<uint64_t, Series> Engine::eval_range_steps(
+std::map<uint64_t, MatrixSeries> Engine::eval_range_steps(
     const Queryable& source, const ExprPtr& expr, TimestampMs start,
     TimestampMs end, int64_t step_ms) const {
-  std::map<uint64_t, Series> by_labels;
+  std::map<uint64_t, MatrixSeries> by_labels;
   // Oracle purity: the per-step path always evaluates raw, independent of
   // resolution_aware, so it stays the differential reference for both the
   // streaming and the planned paths.
@@ -1465,7 +1626,7 @@ std::vector<Series> Engine::eval_range(const Queryable& source,
   if (step_ms <= 0) throw EvalError("step must be positive");
   common::ThreadPool* pool = options_.pool.get();
 
-  std::map<uint64_t, Series> by_labels;
+  std::map<uint64_t, MatrixSeries> by_labels;
   if (options_.streaming_range) {
     // Streaming path: prepare every selector once (one select, one decode
     // per chunk), then sweep step cursors — serial or chunked across the
@@ -1475,8 +1636,8 @@ std::vector<Series> Engine::eval_range(const Queryable& source,
                          options_.lookback_ms, pool,
                          options_.resolution_aware);
     auto eval_steps = [&](TimestampMs from,
-                          TimestampMs to) -> std::map<uint64_t, Series> {
-      std::map<uint64_t, Series> partial;
+                          TimestampMs to) -> std::map<uint64_t, MatrixSeries> {
+      std::map<uint64_t, MatrixSeries> partial;
       RangeEvaluator evaluator(source, ctx, from, options_.lookback_ms);
       for (TimestampMs t = from; t <= to; t += step_ms) {
         evaluator.set_time(t);
@@ -1489,19 +1650,26 @@ std::vector<Series> Engine::eval_range(const Queryable& source,
   } else {
     // Per-step oracle path: full selector evaluation at every step.
     auto eval_steps = [&](TimestampMs from,
-                          TimestampMs to) -> std::map<uint64_t, Series> {
+                          TimestampMs to) -> std::map<uint64_t, MatrixSeries> {
       return eval_range_steps(source, expr, from, to, step_ms);
     };
     by_labels = run_steps_chunked(pool, options_.min_parallel_steps, start,
                                   end, step_ms, eval_steps);
   }
 
+  // The API boundary: results sort by label strings and carry them.
+  std::vector<MatrixSeries*> sorted;
+  sorted.reserve(by_labels.size());
+  for (auto& [key, series] : by_labels) sorted.push_back(&series);
+  std::sort(sorted.begin(), sorted.end(),
+            [](const MatrixSeries* a, const MatrixSeries* b) {
+              return a->labels < b->labels;
+            });
   std::vector<Series> out;
-  out.reserve(by_labels.size());
-  for (auto& [key, series] : by_labels) out.push_back(std::move(series));
-  std::sort(out.begin(), out.end(), [](const Series& a, const Series& b) {
-    return a.labels < b.labels;
-  });
+  out.reserve(sorted.size());
+  for (MatrixSeries* series : sorted) {
+    out.push_back({series->labels.to_labels(), std::move(series->samples)});
+  }
   return out;
 }
 

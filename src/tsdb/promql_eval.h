@@ -33,12 +33,19 @@ struct EvalError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-// One element of an instant vector.
+// One element of an instant vector. Labels stay interned through the
+// whole evaluation; the HTTP layer renders them (tsdb/http_api.h).
 struct VectorSample {
-  Labels labels;
+  InternedLabels labels;
   double value = 0;
 };
 using InstantVector = std::vector<VectorSample>;
+
+// One series of a range vector (a matrix selector's window).
+struct MatrixSeries {
+  InternedLabels labels;
+  std::vector<SamplePoint> samples;  // time-ordered
+};
 
 struct Value {
   enum class Kind { kScalar, kVector, kString, kMatrix };
@@ -46,7 +53,7 @@ struct Value {
   double scalar = 0;
   InstantVector vector;
   std::string string_value;
-  std::vector<Series> matrix;  // only produced by matrix selectors
+  std::vector<MatrixSeries> matrix;  // only produced by matrix selectors
 };
 
 struct EngineOptions {
@@ -112,11 +119,11 @@ class Engine {
  private:
   // Evaluates the steps start, start+step, ... <= end into a
   // fingerprint-keyed accumulator (samples in step order).
-  std::map<uint64_t, Series> eval_range_steps(const Queryable& source,
-                                              const ExprPtr& expr,
-                                              TimestampMs start,
-                                              TimestampMs end,
-                                              int64_t step_ms) const;
+  std::map<uint64_t, MatrixSeries> eval_range_steps(const Queryable& source,
+                                                    const ExprPtr& expr,
+                                                    TimestampMs start,
+                                                    TimestampMs end,
+                                                    int64_t step_ms) const;
 
   EngineOptions options_;
   // Shared (not unique) so Engine stays copyable; copies share the cache.

@@ -62,6 +62,12 @@ void RuleEngine::add_group(RuleGroup group) {
     if (!metrics::is_valid_metric_name(rule.record))
       throw promql::ParseError("invalid record name: " + rule.record);
     rule.parsed = promql::parse(rule.expr);
+    auto& table = metrics::SymbolTable::global();
+    rule.record_sym = table.intern(rule.record);
+    rule.static_syms.clear();
+    for (const auto& [name, value] : rule.static_labels) {
+      rule.static_syms.emplace_back(table.intern(name), table.intern(value));
+    }
   }
   for (auto& rule : group.alerts) {
     if (rule.alert.empty())
@@ -100,7 +106,8 @@ void RuleEngine::evaluate_alert(const AlertingRule& rule,
   // Mark the alert instances present in this evaluation.
   std::set<uint64_t> seen;
   for (const auto& sample : value.vector) {
-    Labels labels = sample.labels.without_name().with("alertname", rule.alert);
+    Labels labels =
+        sample.labels.to_labels().without_name().with("alertname", rule.alert);
     for (const auto& [name, label_value] : rule.static_labels) {
       labels = labels.with(name, label_value);
     }
@@ -161,23 +168,19 @@ void RuleEngine::evaluate_record(const RecordingRule& rule,
       ++stats.rule_failures;
       return;
     }
-    // Intern each output label set once and write the whole vector as one
-    // batch: one WAL record and one lock per touched shard, not one each
-    // per sample. Per-series order is the vector's order, so duplicate
-    // label sets still resolve last-write-wins.
-    std::vector<InternedLabels> labels;
-    labels.reserve(value.vector.size());
-    for (const auto& sample : value.vector) {
-      Labels out = sample.labels.with_name(rule.record);
-      for (const auto& [name, label_value] : rule.static_labels) {
-        out = out.with(name, label_value);
-      }
-      labels.emplace_back(out);
-    }
+    // Name each output label set by symbol, in place, and write the whole
+    // vector as one batch: one WAL record and one lock per touched shard,
+    // not one each per sample. Per-series order is the vector's order, so
+    // duplicate label sets still resolve last-write-wins.
+    const uint32_t name_sym = InternedLabels::name_symbol();
     std::vector<metrics::SampleRef> refs;
-    refs.reserve(labels.size());
-    for (std::size_t i = 0; i < labels.size(); ++i) {
-      refs.push_back({&labels[i], t, value.vector[i].value});
+    refs.reserve(value.vector.size());
+    for (auto& sample : value.vector) {
+      sample.labels = sample.labels.with_symbols(name_sym, rule.record_sym);
+      for (const auto& [name, label_value] : rule.static_syms) {
+        sample.labels = sample.labels.with_symbols(name, label_value);
+      }
+      refs.push_back({&sample.labels, t, sample.value});
     }
     stats.samples_written += store_->append_refs(refs.data(), refs.size());
   } catch (const std::exception& e) {

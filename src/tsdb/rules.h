@@ -33,6 +33,10 @@ struct RecordingRule {
   std::string expr;              // PromQL text
   std::vector<std::pair<std::string, std::string>> static_labels;
   promql::ExprPtr parsed;        // filled by RuleEngine
+  // `record` and `static_labels` as symbols, interned once by RuleEngine
+  // so write-back edits symbol ids instead of re-interning strings.
+  uint32_t record_sym = 0;
+  std::vector<InternedLabels::SymbolPair> static_syms = {};
 };
 
 // Alerting rule: fires while `expr` returns a non-empty vector (after a

@@ -170,16 +170,13 @@ ScrapeManager::TargetSweep ScrapeManager::scrape_target(
 
   // Every outcome — success, failure, retry — lands in the store as data:
   // up, scrape_duration_seconds and the transport retry counter.
-  auto append_synthetics = [&](double up) {
-    store_->append(state.up_labels, now, up);
-    store_->append(state.duration_labels, now, duration_sec);
-    store_->append(state.retries_labels, now,
-                   static_cast<double>(state.local_retries +
-                                       state.client->stats().retries));
-  };
+  const double retries = static_cast<double>(state.local_retries +
+                                             state.client->stats().retries);
 
   auto mark_failed = [&] {
-    append_synthetics(0);
+    store_->append(state.up_labels, now, 0);
+    store_->append(state.duration_labels, now, duration_sec);
+    store_->append(state.retries_labels, now, retries);
     ++state.consecutive_failures;
     if (config_.emit_stale_markers) {
       for (auto& [hash, entry] : state.series_cache) {
@@ -206,13 +203,14 @@ ScrapeManager::TargetSweep ScrapeManager::scrape_target(
     // parse_exposition path.
     ++state.sweep_gen;
     parse_into_batch(state, result.response.body, now);
-    sweep.ingested = static_cast<int64_t>(
-        store_->append_refs(state.batch.data(), state.batch.size()));
+    const std::size_t parsed = state.batch.size();
     // One pass over the cache: series exposed last scrape but gone now
     // ended between sweeps — mark them stale so they vanish from queries
     // at this sweep, not after the lookback window drains (Prometheus'
     // disappearing-series semantics). Entries dead long enough are
-    // evicted so churned series do not pin cache memory forever.
+    // evicted so churned series do not pin cache memory forever; an
+    // evicted entry has been dead for sweeps, so no ref in the batch
+    // points at it.
     for (auto it = state.series_cache.begin();
          it != state.series_cache.end();) {
       auto& entry = it->second;
@@ -223,7 +221,7 @@ ScrapeManager::TargetSweep ScrapeManager::scrape_target(
       }
       if (entry.live) {
         if (config_.emit_stale_markers) {
-          store_->append(entry.labels, now, metrics::stale_marker());
+          state.batch.push_back({&entry.labels, now, metrics::stale_marker()});
           ++sweep.stale_markers;
         }
         entry.live = false;
@@ -234,13 +232,20 @@ ScrapeManager::TargetSweep ScrapeManager::scrape_target(
         ++it;
       }
     }
+    // The synthetic series ride in the same batch, after everything the
+    // target exposed: one append, one WAL record per target and sweep.
+    // Only the exposed samples count as ingested.
+    state.batch.push_back({&state.up_labels, now, 1});
+    state.batch.push_back({&state.duration_labels, now, duration_sec});
+    state.batch.push_back({&state.retries_labels, now, retries});
+    sweep.ingested = static_cast<int64_t>(store_->append_refs(
+        state.batch.data(), state.batch.size(), parsed));
     state.consecutive_failures = 0;
   } catch (const metrics::ExpositionParseError& e) {
     CEEMS_LOG_WARN("scrape") << state.target.url << ": " << e.what();
     mark_failed();
     return sweep;
   }
-  append_synthetics(1);
   return sweep;
 }
 

@@ -20,7 +20,7 @@ const TimeSeriesStore::StoredSeries* TimeSeriesStore::find_series_locked(
     const StoredSeries& stored = shard.series.at(id);
     // Fingerprints collide; trust only full label equality (a cheap
     // symbol-vector compare, no strings involved).
-    if (stored.ilabels == labels) return &stored;
+    if (stored.labels == labels) return &stored;
   }
   return nullptr;
 }
@@ -32,7 +32,7 @@ TimeSeriesStore::StoredSeries& TimeSeriesStore::get_or_create_locked(
   }
   uint64_t id = shard.next_series_id++;
   auto [it, inserted] = shard.series.emplace(
-      id, StoredSeries{labels, labels.to_labels(), ChunkedSeries{}});
+      id, StoredSeries{labels, ChunkedSeries{}});
   shard.by_fp[labels.fingerprint()].push_back(id);
   for (const auto& [name_sym, value_sym] : labels.pairs()) {
     shard.index[name_sym][value_sym].insert(id);
@@ -43,13 +43,13 @@ TimeSeriesStore::StoredSeries& TimeSeriesStore::get_or_create_locked(
 void TimeSeriesStore::erase_series_locked(Shard& shard, uint64_t id) {
   auto it = shard.series.find(id);
   if (it == shard.series.end()) return;
-  for (const auto& [name_sym, value_sym] : it->second.ilabels.pairs()) {
+  for (const auto& [name_sym, value_sym] : it->second.labels.pairs()) {
     auto name_it = shard.index.find(name_sym);
     if (name_it == shard.index.end()) continue;
     auto value_it = name_it->second.find(value_sym);
     if (value_it != name_it->second.end()) value_it->second.erase(id);
   }
-  auto chain_it = shard.by_fp.find(it->second.ilabels.fingerprint());
+  auto chain_it = shard.by_fp.find(it->second.labels.fingerprint());
   if (chain_it != shard.by_fp.end()) {
     auto& chain = chain_it->second;
     chain.erase(std::remove(chain.begin(), chain.end(), id), chain.end());
@@ -114,6 +114,12 @@ std::size_t TimeSeriesStore::append_all(
 
 std::size_t TimeSeriesStore::append_refs(const metrics::SampleRef* samples,
                                          std::size_t count) {
+  return append_refs(samples, count, count);
+}
+
+std::size_t TimeSeriesStore::append_refs(const metrics::SampleRef* samples,
+                                         std::size_t count,
+                                         std::size_t counted) {
   if (count == 0) return 0;
   Wal::CommitGuard guard;
   if (Wal* wal = wal_.load(std::memory_order_acquire)) {
@@ -122,11 +128,12 @@ std::size_t TimeSeriesStore::append_refs(const metrics::SampleRef* samples,
     guard = wal->commit_shared();
     wal->log_batch(samples, count);
   }
-  return apply_refs(samples, count);
+  return apply_refs(samples, count, counted);
 }
 
 std::size_t TimeSeriesStore::apply_refs(const metrics::SampleRef* samples,
-                                        std::size_t count) {
+                                        std::size_t count,
+                                        std::size_t counted) {
   // Bucket by shard first so each shard lock is acquired once per batch.
   // Sample labels arrive interned from the parser, so this reads the
   // precomputed fingerprint instead of hashing label strings. Buckets
@@ -139,39 +146,42 @@ std::size_t TimeSeriesStore::apply_refs(const metrics::SampleRef* samples,
     buckets[shard_of(samples[i].labels->fingerprint())].push_back(
         &samples[i]);
   }
+  const metrics::SampleRef* const counted_end =
+      samples + std::min(counted, count);
   std::size_t accepted = 0;
   for (std::size_t s = 0; s < kShardCount; ++s) {
     if (buckets[s].empty()) continue;
     Shard& shard = shards_[s];
     std::unique_lock lock(shard.mu);
-    std::size_t shard_accepted = 0;
+    bool mutated = false;
     for (const metrics::SampleRef* sample : buckets[s]) {
       if (append_locked(shard, *sample->labels, sample->timestamp_ms,
                         sample->value)) {
-        ++shard_accepted;
+        mutated = true;
+        if (sample < counted_end) ++accepted;
       }
     }
     // One version bump per shard per batch is enough for cache
     // invalidation (entries compare signatures for equality).
-    if (shard_accepted > 0)
-      shard.version.fetch_add(1, std::memory_order_acq_rel);
-    accepted += shard_accepted;
+    if (mutated) shard.version.fetch_add(1, std::memory_order_acq_rel);
   }
   return accepted;
 }
 
 std::vector<uint64_t> TimeSeriesStore::match_ids(
-    const Shard& shard, const std::vector<LabelMatcher>& matchers) {
+    const Shard& shard, const std::vector<metrics::SymbolMatcher>& matchers) {
   // Walk the smallest equality matcher's posting set in place and filter
   // by every matcher, so a select copies no index set. Index keys are
   // symbol ids: a matcher whose name or value was never interned cannot
   // match any stored series.
-  SymbolTable& table = SymbolTable::global();
   const std::set<uint64_t>* candidates = nullptr;
   for (const auto& matcher : matchers) {
-    if (matcher.op != LabelMatcher::Op::kEq || matcher.value.empty()) continue;
-    auto name_sym = table.find(matcher.name);
-    auto value_sym = table.find(matcher.value);
+    if (matcher.matcher().op != LabelMatcher::Op::kEq ||
+        matcher.matcher().value.empty()) {
+      continue;
+    }
+    auto name_sym = matcher.name_symbol();
+    auto value_sym = matcher.value_symbol();
     if (!name_sym || !value_sym) return {};
     auto name_it = shard.index.find(*name_sym);
     if (name_it == shard.index.end()) return {};
@@ -184,10 +194,7 @@ std::vector<uint64_t> TimeSeriesStore::match_ids(
 
   std::vector<uint64_t> out;
   auto check = [&](uint64_t id, const StoredSeries& stored) {
-    for (const auto& matcher : matchers) {
-      if (!matcher.matches(stored.ilabels)) return;
-    }
-    out.push_back(id);
+    if (metrics::matches_all(matchers, stored.labels)) out.push_back(id);
   };
   if (candidates) {
     for (uint64_t id : *candidates) {
@@ -203,10 +210,11 @@ std::vector<uint64_t> TimeSeriesStore::match_ids(
 std::vector<SeriesView> TimeSeriesStore::select(
     const std::vector<LabelMatcher>& matchers, TimestampMs min_t,
     TimestampMs max_t) const {
+  const auto resolved = metrics::resolve_matchers(matchers);
   std::vector<SeriesView> out;
   for (const Shard& shard : shards_) {
     std::shared_lock lock(shard.mu);
-    for (uint64_t id : match_ids(shard, matchers)) {
+    for (uint64_t id : match_ids(shard, resolved)) {
       const StoredSeries& stored = shard.series.at(id);
       // Boundary chunks are decoded under the lock so emptiness is exact;
       // fully-covered chunks ride along compressed and refcounted.
@@ -215,7 +223,7 @@ std::vector<SeriesView> TimeSeriesStore::select(
       out.push_back(SeriesView{stored.labels, std::move(slices)});
     }
   }
-  // Deterministic output order.
+  // Deterministic output order: by label strings, as Labels would sort.
   std::sort(out.begin(), out.end(),
             [](const SeriesView& a, const SeriesView& b) {
               return a.labels < b.labels;
@@ -281,11 +289,12 @@ std::size_t TimeSeriesStore::delete_series(
     guard = wal->commit_shared();
     wal->log_delete(matchers);
   }
+  const auto resolved = metrics::resolve_matchers(matchers);
   std::size_t deleted = 0;
   for (Shard& shard : shards_) {
     std::unique_lock lock(shard.mu);
     bool mutated = false;
-    for (uint64_t id : match_ids(shard, matchers)) {
+    for (uint64_t id : match_ids(shard, resolved)) {
       auto it = shard.series.find(id);
       if (it == shard.series.end()) continue;
       shard.num_samples -= it->second.data.num_samples();
@@ -320,7 +329,7 @@ StorageStats TimeSeriesStore::stats() const {
     for (const auto& [id, stored] : shard.series) {
       stats.approx_bytes += stored.data.approx_bytes();
       stats.approx_bytes +=
-          stored.ilabels.size() * sizeof(InternedLabels::SymbolPair);
+          stored.labels.size() * sizeof(InternedLabels::SymbolPair);
     }
   }
   // Label strings live once in the process-wide symbol table, shared by
@@ -352,7 +361,7 @@ std::vector<Series> TimeSeriesStore::series_since(TimestampMs since) const {
       if (stored.data.empty() || stored.data.max_time() < since) continue;
       auto samples = stored.data.samples_between(since, kMax);
       if (samples.empty()) continue;
-      out.push_back(Series{stored.labels, std::move(samples)});
+      out.push_back(Series{stored.labels.to_labels(), std::move(samples)});
     }
   }
   return out;
@@ -375,12 +384,12 @@ void TimeSeriesStore::visit_shard_since(
       // Steady state: everything new is still in the mutable head.
       for (const auto& sample : data.head()) {
         if (sample.t >= since)
-          refs.push_back({&stored.ilabels, sample.t, sample.v});
+          refs.push_back({&stored.labels, sample.t, sample.v});
       }
       continue;
     }
     for (const auto& sample : data.samples_between(since, kMax)) {
-      refs.push_back({&stored.ilabels, sample.t, sample.v});
+      refs.push_back({&stored.labels, sample.t, sample.v});
     }
   }
   fn(refs.data(), refs.size());
@@ -393,15 +402,15 @@ constexpr char kSnapshotMagicV2[] = "CEEMSTSDB2";
 constexpr char kSnapshotMagicV1[] = "CEEMSTSDB1";
 static_assert(sizeof(kSnapshotMagicV2) == sizeof(kSnapshotMagicV1));
 
-void put_u64(std::ostream& out, uint64_t value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
+void put_u64(std::string& out, uint64_t value) {
+  out.append(reinterpret_cast<const char*>(&value), sizeof(value));
 }
-void put_f64(std::ostream& out, double value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
+void put_f64(std::string& out, double value) {
+  out.append(reinterpret_cast<const char*>(&value), sizeof(value));
 }
-void put_string(std::ostream& out, const std::string& text) {
+void put_string(std::string& out, std::string_view text) {
   put_u64(out, text.size());
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  out.append(text);
 }
 bool get_u64(std::istream& in, uint64_t& value) {
   in.read(reinterpret_cast<char*>(&value), sizeof(value));
@@ -439,33 +448,52 @@ bool get_labels(std::istream& in, Labels& out) {
 bool TimeSeriesStore::snapshot_to(const std::string& path) const {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out.good()) return false;
-  return snapshot_stream(out);
+  std::string bytes = snapshot_bytes();
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return out.good();
 }
 
 std::string TimeSeriesStore::snapshot_bytes() const {
-  std::ostringstream out(std::ios::binary);
-  snapshot_stream(out);
-  return std::move(out).str();
+  std::string out;
+  append_snapshot(out);
+  return out;
 }
 
-bool TimeSeriesStore::snapshot_stream(std::ostream& out) const {
+void TimeSeriesStore::append_snapshot(std::string& out) const {
   // Hold every shard lock (in index order, so concurrent snapshots cannot
   // deadlock) for a consistent cut across shards.
   std::vector<std::shared_lock<std::shared_mutex>> locks;
   locks.reserve(kShardCount);
+  for (const Shard& shard : shards_) locks.emplace_back(shard.mu);
+  const SymbolTable& table = SymbolTable::global();
+
+  // Size pass: the buffer grows once, to exactly the encoded size.
   std::size_t num_series = 0;
+  std::size_t size = sizeof(kSnapshotMagicV2) - 1 + sizeof(uint64_t);
   for (const Shard& shard : shards_) {
-    locks.emplace_back(shard.mu);
     num_series += shard.series.size();
+    for (const auto& [id, stored] : shard.series) {
+      size += 3 * sizeof(uint64_t);  // label, chunk and head counts
+      for (const auto& [name_sym, value_sym] : stored.labels.pairs()) {
+        size += 2 * sizeof(uint64_t) + table.text(name_sym).size() +
+                table.text(value_sym).size();
+      }
+      for (const ChunkPtr& chunk : stored.data.sealed()) {
+        size += 4 * sizeof(uint64_t) + chunk->bytes().size();
+      }
+      size += stored.data.head().size() * (sizeof(uint64_t) + sizeof(double));
+    }
   }
-  out.write(kSnapshotMagicV2, sizeof(kSnapshotMagicV2) - 1);
+  out.reserve(out.size() + size);
+
+  out.append(kSnapshotMagicV2, sizeof(kSnapshotMagicV2) - 1);
   put_u64(out, num_series);
   for (const Shard& shard : shards_) {
     for (const auto& [id, stored] : shard.series) {
-      put_u64(out, stored.labels.pairs().size());
-      for (const auto& [name, value] : stored.labels.pairs()) {
-        put_string(out, name);
-        put_string(out, value);
+      put_u64(out, stored.labels.size());
+      for (const auto& [name_sym, value_sym] : stored.labels.pairs()) {
+        put_string(out, table.text(name_sym));
+        put_string(out, table.text(value_sym));
       }
       put_u64(out, stored.data.sealed().size());
       for (const ChunkPtr& chunk : stored.data.sealed()) {
@@ -473,8 +501,8 @@ bool TimeSeriesStore::snapshot_stream(std::ostream& out) const {
         put_u64(out, static_cast<uint64_t>(chunk->min_time()));
         put_u64(out, static_cast<uint64_t>(chunk->max_time()));
         put_u64(out, chunk->bytes().size());
-        out.write(reinterpret_cast<const char*>(chunk->bytes().data()),
-                  static_cast<std::streamsize>(chunk->bytes().size()));
+        out.append(reinterpret_cast<const char*>(chunk->bytes().data()),
+                   chunk->bytes().size());
       }
       put_u64(out, stored.data.head().size());
       for (const auto& sample : stored.data.head()) {
@@ -483,7 +511,6 @@ bool TimeSeriesStore::snapshot_stream(std::ostream& out) const {
       }
     }
   }
-  return out.good();
 }
 
 std::optional<std::size_t> TimeSeriesStore::restore_from(

@@ -134,6 +134,11 @@ class TimeSeriesStore final : public Queryable {
   // path: the caller's label pointers must stay valid for the call.
   std::size_t append_refs(const metrics::SampleRef* samples,
                           std::size_t count);
+  // Same, but the return value counts only accepted samples among the
+  // first `counted` refs (a scrape batches its synthetic series after the
+  // exposed samples and reports only the latter as ingested).
+  std::size_t append_refs(const metrics::SampleRef* samples,
+                          std::size_t count, std::size_t counted);
 
   // Attaches (or detaches, with nullptr) a write-ahead log: every
   // mutation is then logged and made durable (group commit) before it is
@@ -202,6 +207,10 @@ class TimeSeriesStore final : public Queryable {
   // Same snapshot/restore over in-memory bytes — the WAL checkpoint path
   // (tsdb/wal.h) wraps these in its atomically-installed snapshot file.
   std::string snapshot_bytes() const;
+  // Appends the snapshot encoding to `out`, growing it once to the exact
+  // final size, so a caller can prefix its own header and build the whole
+  // file in one buffer.
+  void append_snapshot(std::string& out) const;
   std::optional<std::size_t> restore_from_bytes(std::string_view bytes);
 
   static std::size_t shard_of(uint64_t fingerprint) {
@@ -210,10 +219,9 @@ class TimeSeriesStore final : public Queryable {
 
  private:
   struct StoredSeries {
-    InternedLabels ilabels;
-    // Materialised once at series creation; copied into views so readers
-    // never touch the symbol table after the shard lock drops.
-    Labels labels;
+    // Interned only: views copy the symbol ids, and strings are produced
+    // at the API boundary through the lock-free symbol table.
+    InternedLabels labels;
     ChunkedSeries data;
   };
 
@@ -251,15 +259,14 @@ class TimeSeriesStore final : public Queryable {
   // Returns ids of series in `shard` matching all matchers. Caller holds
   // at least a shared lock on the shard.
   static std::vector<uint64_t> match_ids(
-      const Shard& shard, const std::vector<LabelMatcher>& matchers);
+      const Shard& shard, const std::vector<metrics::SymbolMatcher>& matchers);
 
   // Shard-bucketed apply without WAL logging (append_refs calls it after
   // the batch is durable; WAL replay reaches it through append_refs on a
   // store with no WAL attached).
   std::size_t apply_refs(const metrics::SampleRef* samples,
-                         std::size_t count);
+                         std::size_t count, std::size_t counted);
 
-  bool snapshot_stream(std::ostream& out) const;
   std::optional<std::size_t> restore_stream(std::istream& in);
 
   std::array<Shard, kShardCount> shards_;

@@ -584,11 +584,12 @@ bool DurableTsdb::checkpoint() {
   // The new generation starts above every existing segment; replay will
   // skip anything older because the snapshot already contains it.
   uint64_t floor = wal_->current_seq() + 1;
+  // One buffer, sized once by the store, handed to the directory by move.
   std::string snap;
   snap.append(kSnapshotMagic, kSnapshotMagicLen);
   put_u64(snap, floor);
-  snap += store_->snapshot_bytes();
-  if (!dir_->replace(kSnapshotFile, snap)) return false;
+  store_->append_snapshot(snap);
+  if (!dir_->replace(kSnapshotFile, std::move(snap))) return false;
   wal_->reset_to(floor);
   ++checkpoints_;
   return true;

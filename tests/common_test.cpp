@@ -3,6 +3,9 @@
 #include <cmath>
 
 #include <atomic>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <thread>
 
 #include "common/clock.h"
@@ -107,6 +110,74 @@ TEST(StrUtil, FormatDoubleRoundTrips) {
     EXPECT_DOUBLE_EQ(*parse_double(format_double(value)), value);
   }
   EXPECT_EQ(format_double(std::numeric_limits<double>::infinity()), "+Inf");
+}
+
+// The previous format_double, kept as the oracle: try "%.*g" at
+// precisions 6..17 and keep the first that sscanf reads back exactly.
+std::string format_double_printf_loop(double value) {
+  if (std::isnan(value)) return "NaN";
+  if (std::isinf(value)) return value > 0 ? "+Inf" : "-Inf";
+  char buf[64];
+  for (int precision = 6; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
+    double parsed = 0;
+    std::sscanf(buf, "%lf", &parsed);
+    if (parsed == value) break;
+  }
+  return buf;
+}
+
+TEST(StrUtil, FormatDoubleMatchesPrintfLoop) {
+  std::vector<double> values = {0.0, -0.0, 0.1, 1.0 / 3.0, 2.5, 1e21, 1e-7,
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::denorm_min(),
+                                std::ldexp(1.0, -24)};
+  // Every power of two and its neighbours.
+  for (int e = -1074; e <= 1023; ++e) {
+    double p = std::ldexp(1.0, e);
+    values.push_back(p);
+    values.push_back(std::nextafter(p, 0.0));
+    values.push_back(-std::nextafter(p, INFINITY));
+  }
+  Rng rng(20241117);
+  // Random bit patterns: every exponent, subnormals, both signs.
+  for (int i = 0; i < 700000; ++i) {
+    uint64_t bits = rng.next_u64();
+    double value;
+    std::memcpy(&value, &bits, sizeof(value));
+    values.push_back(value);
+  }
+  // Integers and decimal ties (k + 0.5) / 10^j, where rounding at a
+  // given precision lands exactly between two candidates.
+  for (int i = 0; i < 150000; ++i) {
+    int64_t k = rng.uniform_int(-(int64_t{1} << 53), int64_t{1} << 53);
+    values.push_back(static_cast<double>(k));
+    values.push_back((static_cast<double>(k % 10000000) + 0.5) /
+                     std::pow(10.0, static_cast<double>(i % 12)));
+  }
+  ASSERT_GE(values.size(), 1000000u);
+  // The oracle costs up to 12 snprintf/sscanf pairs per value; split the
+  // values across a few threads. Each records its first mismatch.
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::string> first(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = t; i < values.size(); i += kThreads) {
+        std::string expected = format_double_printf_loop(values[i]);
+        std::string actual = format_double(values[i]);
+        if (actual != expected && mismatches[t]++ == 0) {
+          first[t] = "format_double(" + expected + ") gave " + actual;
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << first[t];
+  }
 }
 
 TEST(StrUtil, ParseDurations) {

@@ -269,7 +269,7 @@ std::vector<std::pair<Labels, BitSamples>> bits_of(
       std::memcpy(&bits, &sample.v, sizeof(bits));
       samples.emplace_back(sample.t, bits);
     }
-    out.emplace_back(view.labels, std::move(samples));
+    out.emplace_back(view.labels.to_labels(), std::move(samples));
   }
   return out;
 }
@@ -281,7 +281,7 @@ std::vector<std::pair<Labels, std::vector<TimestampMs>>> buckets_of(
   for (const auto& view : *views) {
     std::vector<TimestampMs> ends;
     for (const auto& bucket : view.buckets) ends.push_back(bucket.t);
-    out.emplace_back(view.labels, std::move(ends));
+    out.emplace_back(view.labels.to_labels(), std::move(ends));
   }
   return out;
 }

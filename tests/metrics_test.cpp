@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <limits>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "metrics/labels.h"
 #include "metrics/registry.h"
@@ -27,13 +31,6 @@ TEST(Labels, WithReplacesOrAdds) {
   Labels replaced = with_b.with("a", "9");
   EXPECT_EQ(*replaced.get("a"), "9");
   EXPECT_EQ(*labels.get("a"), "1");  // original untouched
-}
-
-TEST(Labels, KeepOnlyAndDrop) {
-  Labels labels{{"a", "1"}, {"b", "2"}, {"c", "3"}};
-  EXPECT_EQ(labels.keep_only({"a", "c"}).size(), 2u);
-  EXPECT_EQ(labels.drop({"b"}).size(), 2u);
-  EXPECT_FALSE(labels.drop({"b"}).has("b"));
 }
 
 TEST(Labels, FingerprintDistinguishesBoundaries) {
@@ -242,6 +239,114 @@ TEST(Symbols, MatcherWorksOnInternedLabels) {
   EXPECT_TRUE(ne.matches(labels));
   EXPECT_TRUE(re.matches(labels));
   EXPECT_FALSE(no.matches(labels));  // anchored
+}
+
+TEST(Symbols, TextIsLockFreeUnderConcurrentIntern) {
+  // Writers intern fresh strings (crossing chunk boundaries) while readers
+  // resolve every published id; each id must read back its own string.
+  SymbolTable& table = SymbolTable::global();
+  constexpr int kWriters = 2;
+  constexpr int kPerWriter = 6000;
+  std::vector<std::vector<uint32_t>> ids(kWriters);
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> bad_reads{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        std::size_t size = table.size();
+        for (std::size_t id = size > 512 ? size - 512 : 0; id < size; ++id) {
+          std::string_view text = table.text(static_cast<uint32_t>(id));
+          if (text.empty() && id != 0) {
+            // Only the empty string may read back empty.
+            if (table.find("") != static_cast<uint32_t>(id)) ++bad_reads;
+          }
+        }
+        if (!table.text(std::numeric_limits<uint32_t>::max()).empty()) {
+          ++bad_reads;  // ids never published read as empty
+        }
+      }
+    });
+  }
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (int i = 0; i < kPerWriter; ++i) {
+        std::string text = "symbols_concurrent_" + std::to_string(w) + "_" +
+                           std::to_string(i);
+        uint32_t id = table.intern(text);
+        if (table.text(id) != text) ++bad_reads;
+        ids[w].push_back(id);
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(bad_reads.load(), 0u);
+  for (int w = 0; w < kWriters; ++w) {
+    for (int i = 0; i < kPerWriter; ++i) {
+      EXPECT_EQ(table.text(ids[w][i]), "symbols_concurrent_" +
+                                           std::to_string(w) + "_" +
+                                           std::to_string(i));
+    }
+  }
+}
+
+TEST(Symbols, OrderAndRenderingMatchLabels) {
+  std::vector<Labels> sets = {
+      Labels{{"a", "1"}},
+      Labels{{"a", "1"}, {"b", "2"}},
+      Labels{{"a", "10"}},
+      Labels{{"a", "2"}},
+      Labels{{"b", "0"}},
+      Labels{},
+      Labels{{"z_first", "x"}}.with_name("metric"),
+  };
+  for (const auto& x : sets) {
+    InternedLabels ix(x);
+    EXPECT_EQ(ix.to_string(), x.to_string());
+    for (const auto& y : sets) {
+      EXPECT_EQ(ix < InternedLabels(y), x < y)
+          << x.to_string() << " vs " << y.to_string();
+    }
+  }
+  InternedLabels named(Labels{{"b", "2"}}.with_name("m"));
+  Labels unnamed = Labels{{"b", "2"}};
+  EXPECT_EQ(named.without_name().to_labels(), unnamed);
+  EXPECT_EQ(named.without_name().fingerprint(), unnamed.fingerprint());
+  Labels expected = Labels{{"a", "1"}, {"b", "2"}}.with_name("m");
+  EXPECT_EQ(named.with("a", "1").to_labels(), expected);
+}
+
+TEST(Symbols, SymbolMatcherAgreesWithStringMatcher) {
+  std::vector<Labels> sets = {
+      Labels{{"hostname", "jzcpu12"}}.with_name("m"),
+      Labels{{"hostname", ""}, {"mode", "idle"}},
+      Labels{{"mode", "user"}},
+      Labels{},
+  };
+  std::vector<LabelMatcher> matchers = {
+      {"hostname", LabelMatcher::Op::kEq, "jzcpu12"},
+      {"hostname", LabelMatcher::Op::kEq, ""},
+      {"hostname", LabelMatcher::Op::kNe, ""},
+      {"hostname", LabelMatcher::Op::kEq, "never_interned_value_xyz"},
+      {"never_interned_name_xyz", LabelMatcher::Op::kEq, ""},
+      {"never_interned_name_xyz", LabelMatcher::Op::kNe, "v"},
+      {"mode", LabelMatcher::Op::kRegexMatch, "id.*"},
+      {"mode", LabelMatcher::Op::kRegexNoMatch, "id.*"},
+      {"hostname", LabelMatcher::Op::kRegexMatch, ""},
+  };
+  std::vector<InternedLabels> interned(sets.begin(), sets.end());
+  for (const auto& matcher : matchers) {
+    SymbolMatcher resolved(matcher);  // after the series were interned
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+      const Labels& labels = sets[i];
+      EXPECT_EQ(resolved.matches(interned[i]), matcher.matches(labels))
+          << matcher.name << " " << matcher.value << " on "
+          << labels.to_string();
+    }
+  }
 }
 
 // ---------- registry ----------

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -16,6 +17,7 @@
 #include "common/rng.h"
 #include "common/threadpool.h"
 #include "metrics/model.h"
+#include "tsdb/http_api.h"
 #include "tsdb/longterm.h"
 #include "tsdb/promql_eval.h"
 #include "tsdb/storage.h"
@@ -499,6 +501,100 @@ TEST(PromqlDecodeCount, PooledStreamingSameBound) {
   uint64_t decodes = chunk_decode_count() - before;
   ASSERT_FALSE(result.empty());
   EXPECT_LE(decodes, sealed_chunks + 2 * 4);
+}
+
+// ---------- golden digest ----------
+
+// Queries beyond the differential corpus that exercise label handling:
+// vector matching with on/ignoring/group_left/group_right and include
+// lists, set operators, by/without grouping, label rewriting.
+std::vector<std::string> label_corpus() {
+  return {
+      "power_watts * on(hostname) group_left() sum by (hostname) "
+      "(power_watts)",
+      "sum by (hostname) (power_watts) / on(hostname) group_right() "
+      "power_watts",
+      "power_watts * on(hostname, uuid) group_left(hostname) "
+      "energy_joules_total",
+      "energy_joules_total / ignoring(uuid) group_left() sum by (hostname) "
+      "(power_watts)",
+      "power_watts and on(hostname) (power_watts > 150)",
+      "power_watts or energy_joules_total",
+      "power_watts unless on(uuid) (energy_joules_total > 1000)",
+      "power_watts > bool 150",
+      "sum without (uuid) (power_watts)",
+      "max without (hostname) (power_watts)",
+      "count by (uuid) (power_watts)",
+      "stddev by (hostname) (power_watts)",
+      "bottomk(2, energy_joules_total)",
+      "sort_desc(power_watts)",
+      "label_join(power_watts, \"hu\", \"-\", \"hostname\", \"uuid\")",
+      "label_replace(power_watts, \"hostname\", \"x$1\", \"uuid\", \"(.*)\")",
+      "label_replace(power_watts, \"uuid\", \"\", \"uuid\", \"(.*)\")",
+      "vector(1) + on() group_left() count(power_watts)",
+      "hour(power_watts)",
+  };
+}
+
+// FNV over each result's label strings and (t, value bits), plus the
+// JSON bytes of every instant result. Recorded on the string-label
+// evaluator; an interned-label evaluator must reproduce it exactly.
+uint64_t digest_corpus(const Queryable& source) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  auto mix = [&hash](const void* data, std::size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash ^= p[i];
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  auto mix_text = [&mix](const std::string& text) {
+    uint64_t size = text.size();
+    mix(&size, sizeof(size));
+    mix(text.data(), text.size());
+  };
+  auto mix_u64 = [&mix](uint64_t v) { mix(&v, sizeof(v)); };
+
+  Engine oracle = make_engine(false, nullptr);
+  EngineOptions instant_options;
+  instant_options.query_cache_capacity = 0;
+  Engine instant(instant_options);
+  std::vector<std::string> queries = query_corpus();
+  for (auto& query : label_corpus()) queries.push_back(std::move(query));
+  for (const std::string& query : queries) {
+    mix_text(query);
+    auto expr = promql::parse(query);
+    for (const Series& series :
+         oracle.eval_range(source, expr, 60 * 1000, kDataEnd, 47 * 1000)) {
+      mix_text(series.labels.to_string());
+      for (const auto& sample : series.samples) {
+        mix_u64(static_cast<uint64_t>(sample.t));
+        mix_u64(bits(sample.v));
+      }
+    }
+    for (TimestampMs t : {TimestampMs{30 * 60 * 1000}, TimestampMs{61 * 60 * 1000},
+                          TimestampMs{100 * 60 * 1000}, kDataEnd}) {
+      promql::Value value = instant.eval(source, expr, t);
+      mix_text(value_to_json(value).dump());
+      for (const auto& sample : value.vector) {
+        mix_text(sample.labels.to_string());
+        mix_u64(bits(sample.value));
+      }
+    }
+  }
+  return hash;
+}
+
+TEST(PromqlDifferential, GoldenDigest) {
+  auto hot = make_random_store(11);
+  uint64_t hot_digest = digest_corpus(*hot);
+  auto lt = make_longterm(*make_random_store(7));
+  uint64_t lt_digest = digest_corpus(*lt);
+  std::printf("promql digest: hot=%016llx longterm=%016llx\n",
+              static_cast<unsigned long long>(hot_digest),
+              static_cast<unsigned long long>(lt_digest));
+  EXPECT_EQ(hot_digest, 0x189b8634b0184589ULL);
+  EXPECT_EQ(lt_digest, 0xdccd4d813550cdf7ULL);
 }
 
 }  // namespace
